@@ -52,12 +52,10 @@ def gray_rank(g: int) -> int:
 def bit_positions(mask: int) -> Tuple[int, ...]:
     """Set-bit positions of a mask, ascending (lsb = position 0)."""
     out = []
-    pos = 0
     while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -197,11 +195,23 @@ def distance_ring(center: Codeword, i: int) -> Tuple[Codeword, ...]:
 
 
 def ring_values(center: int, width: int, i: int) -> List[int]:
-    """Int-level distance ring, ascending; fast path for the optimizers."""
-    return sorted(
-        center ^ sum(1 << p for p in combo)
-        for combo in combinations(range(width), i)
-    )
+    """Int-level distance ring, ascending; fast path for the optimizers.
+
+    Walks the width-bit masks with exactly i set bits in ascending order
+    (Gosper's next-same-popcount step) and translates them by the center.
+    """
+    if i == 0:
+        return [center]
+    out = []
+    mask = (1 << i) - 1
+    end = 1 << width
+    while mask < end:
+        out.append(center ^ mask)
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
+    out.sort()
+    return out
 
 
 def cycle_node_values(seed: int, target: int) -> List[int]:

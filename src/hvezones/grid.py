@@ -142,19 +142,46 @@ def write_encoding(fp: IO[str], enc: GridEncoding, params: str = "", seed: Optio
 
 
 def read_encoding(fp: IO[str]) -> GridEncoding:
+    """Parse the format `write_encoding` writes; any malformed header or
+    record raises ValueError with a one-line diagnostic."""
     header = fp.readline()
     if not header.startswith("#"):
         raise ValueError("encoding file must start with a header line")
-    meta = dict(item.split("=", 1) for item in header[1:].split())
-    n = int(meta["n"])
-    k = int(meta["k"])
-    forward: List[int] = [-1] * n
-    for line in fp:
+    meta = {}
+    for item in header[1:].split():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"encoding header item {item!r} is not key=value")
+        meta[key] = value
+    n = _header_int(meta, "n")
+    k = _header_int(meta, "k")
+    forward: Dict[int, int] = {}
+    for lineno, line in enumerate(fp, start=2):
         if not line.strip():
             continue
-        cell_text, word = line.split("\t")
-        forward[int(cell_text)] = int(word.strip(), 2)
-    if any(v < 0 for v in forward):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2 or not _is_decimal(parts[0]):
+            raise ValueError(f"encoding line {lineno}: expected '<cell id>\\t<codeword>'")
+        cell, word = int(parts[0]), parts[1].strip()
+        if cell >= n:
+            raise ValueError(f"encoding line {lineno}: cell {cell} outside [0, {n})")
+        if len(word) != k or set(word) - {"0", "1"}:
+            raise ValueError(f"encoding line {lineno}: {word!r} is not a {k}-bit codeword")
+        if cell in forward:
+            raise ValueError(f"encoding line {lineno}: cell {cell} listed twice")
+        forward[cell] = int(word, 2)
+    if len(forward) != n:
         raise ValueError("encoding file is missing cells")
-    return GridEncoding(n=n, k=k, forward=tuple(forward),
+    return GridEncoding(n=n, k=k, forward=tuple(forward[c] for c in range(n)),
                         algorithm=meta.get("algorithm", "unknown"))
+
+
+def _is_decimal(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _header_int(meta: Dict[str, str], key: str) -> int:
+    text = meta.get(key, "")
+    if not _is_decimal(text) or int(text) < 1:
+        raise ValueError(f"encoding header needs a positive integer {key}=")
+    return int(text)

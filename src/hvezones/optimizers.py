@@ -15,6 +15,11 @@ depth-one passes.  Both inherit the single-pass machinery and therefore
 the same deterministic tie-breaking: equal probabilities resolve by
 ascending cell id and equal cycle weights by ascending codeword value.
 
+Depth-one stages (every stage of the scaled variant, and stage 1 of every
+other pass) skip the cycle weights: the cycle through the seed and a
+neighbour is just that pair, so all candidates tie and the free neighbours
+take the next top cells in ascending codeword order.
+
 Cycle weights are accumulated as sums of log-probabilities; a cycle through
 any zero-probability or dummy cell sinks to -inf, which preserves the
 ordering the rank matching needs while avoiding underflow on long cycles.
@@ -27,10 +32,18 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from .gray import cycle_node_values, ring_values
-from .grid import Grid, GridEncoding
+from .grid import Cell, Grid, GridEncoding
+
+
+# Cells labelled per array pass in the hierarchical baseline: whole-grid
+# arrays at n=50625 raised the alert round's peak RSS by about 1 MB over
+# the scalar loop, chunks of this size by about half that.
+HGE_CHUNK = 4096
 
 
 class OpCounter:
@@ -59,6 +72,7 @@ class Assignment:
         self.n = grid.n
         self.k = grid.k
         self.space = 1 << self.k
+        self._bits = [1 << b for b in range(self.k)]
         probs = grid.probabilities()
         padded = probs + [0.0] * (self.space - self.n)
         self.logp = [math.log(p) if p > 0.0 else -math.inf for p in padded]
@@ -114,7 +128,22 @@ class Assignment:
         Ring codewords are weighted by the log-probability sum of assigned
         cells on their seed cycle (target excluded) and matched rank to
         rank against the highest-probability unassigned cells.
+
+        At distance one the cycle through the seed and a neighbour is just
+        that pair, so every neighbour weighs the same (the seed's own
+        log-probability, a one-factor product that counts no
+        multiplication) and the matching hands the next top cells to the
+        free neighbours in ascending codeword order.
         """
+        if distance == 1:
+            cell_at = self.cell_at
+            ring = [seed_index ^ bit for bit in self._bits
+                    if cell_at[seed_index ^ bit] is None]
+            if ring:
+                ring.sort()
+                for cell, cj in zip(self.take_top_cells(len(ring)), ring):
+                    self.assign(cell, cj)
+            return
         ring = [c for c in ring_values(seed_index, self.k, distance)
                 if self.cell_at[c] is None]
         if not ring:
@@ -279,28 +308,27 @@ def sgo(grid: Grid, counter: Optional[OpCounter] = None) -> GridEncoding:
     return state.to_encoding("SGO")
 
 
-def _quad_leaf(x: float, y: float, levels: int) -> int:
-    """Root-to-leaf label path: 2 Gray bits per level, NW NE SE SW."""
-    x0, y0, x1, y1 = 0.0, 0.0, 1.0, 1.0
-    label = 0
+def _quad_labels(cells: Sequence[Cell], levels: int) -> np.ndarray:
+    """Root-to-leaf label paths of all cells, one tree level at a time:
+    2 Gray bits per level, NW NE SE SW."""
+    xs = np.array([c.x for c in cells], dtype=np.float64)
+    ys = np.array([c.y for c in cells], dtype=np.float64)
+    x0, y0 = np.zeros_like(xs), np.zeros_like(ys)
+    x1, y1 = np.ones_like(xs), np.ones_like(ys)
+    labels = np.zeros(xs.shape, dtype=np.int64)
     for _ in range(levels):
         mx, my = (x0 + x1) / 2, (y0 + y1) / 2
-        west = x < mx
-        north = y >= my
-        if north and west:
-            bits = 0b00
-            x1, y0 = mx, my
-        elif north:
-            bits = 0b01
-            x0, y0 = mx, my
-        elif not west:
-            bits = 0b11
-            x0, y1 = mx, my
-        else:
-            bits = 0b10
-            x1, y1 = mx, my
-        label = label << 2 | bits
-    return label
+        west = xs < mx
+        north = ys >= my
+        # NW 00, NE 01, SE 11, SW 10: high bit south, low bit east
+        labels <<= 2
+        labels += 2 * ~north
+        labels += ~west
+        np.copyto(x1, mx, where=west)
+        np.copyto(x0, mx, where=~west)
+        np.copyto(y0, my, where=north)
+        np.copyto(y1, my, where=~north)
+    return labels
 
 
 def hge_baseline(grid: Grid) -> GridEncoding:
@@ -314,7 +342,10 @@ def hge_baseline(grid: Grid) -> GridEncoding:
     """
     levels = max(1, math.ceil(math.log(grid.n, 4))) if grid.n > 1 else 1
     while levels <= 24:
-        leaves = [_quad_leaf(c.x, c.y, levels) for c in grid.cells]
+        leaves = []
+        for start in range(0, grid.n, HGE_CHUNK):
+            chunk = grid.cells[start:start + HGE_CHUNK]
+            leaves += _quad_labels(chunk, levels).tolist()
         if len(set(leaves)) == grid.n:
             return GridEncoding(n=grid.n, k=2 * levels, forward=tuple(leaves),
                                 algorithm="HGE")

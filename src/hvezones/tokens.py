@@ -13,15 +13,19 @@ keeps degenerate dense cores from stalling; exhausting it falls back to
 the greedy incumbent and clears the `exact` flag).  Larger spaces go
 straight to a deterministic greedy set cover over prime cubes grown on
 demand from each minterm; those covers are flagged approximate as well.
+The greedy pick is lazy (a heap of possibly stale gains, rechecked when
+popped) and chooses exactly what a full rescan per pick would.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, IO, Iterable, List, Set, Tuple
 
+from .gray import bit_positions
 from .grid import Grid, GridEncoding
 
 EXACT_SPACE_LIMIT = 4096
@@ -140,38 +144,49 @@ def prime_implicants(k: int, minterms: Set[int], dontcares: Set[int]) -> List[Im
 
 # --- cover selection over minterm bitmasks ---
 
-def _bit_positions(bits: int) -> List[int]:
+def _cover_bits(implicants: List[Implicant], minterms: Set[int]) -> List[int]:
+    """Per implicant, the bitmask of the minterms it covers (bit i for the
+    i-th smallest minterm)."""
+    pos_of = {m: i for i, m in enumerate(sorted(minterms))}
     out = []
-    pos = 0
-    while bits:
-        if bits & 1:
-            out.append(pos)
-        bits >>= 1
-        pos += 1
+    for imp in implicants:
+        bits = 0
+        for v in expand_implicant(imp):
+            i = pos_of.get(v)
+            if i is not None:
+                bits |= 1 << i
+        out.append(bits)
     return out
 
 
-def _greedy_pick(order: List[int], cover_bits: List[int], costs: List[int],
-                 full: int) -> List[int]:
+def _greedy_pick(candidates: Iterable[int], cover_bits: List[int],
+                 costs: List[int], full: int) -> List[int]:
     """Deterministic greedy cover: most new minterms, then cheapest, then
-    first in `order`."""
+    lowest index.
+
+    Lazy evaluation over a heap of (-gain, cost, index) keys: gains only
+    shrink as the uncovered set shrinks, so an entry whose recomputed gain
+    still equals its stored one is the exact minimum a full rescan would
+    pick; a stale entry goes back with its new gain, or out at gain 0.
+    """
+    heap = []
+    for idx in candidates:
+        gain = (cover_bits[idx] & full).bit_count()
+        if gain:
+            heap.append((-gain, costs[idx], idx))
+    heapq.heapify(heap)
     chosen: List[int] = []
     left = full
     while left:
-        best = -1
-        best_key = None
-        for idx in order:
-            gain = (cover_bits[idx] & left).bit_count()
-            if not gain:
-                continue
-            key = (-gain, costs[idx], idx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = idx
-        if best < 0:
+        if not heap:
             raise ValueError("cover is infeasible")
-        chosen.append(best)
-        left &= ~cover_bits[best]
+        neg_gain, cost, idx = heapq.heappop(heap)
+        gain = (cover_bits[idx] & left).bit_count()
+        if gain == -neg_gain:
+            chosen.append(idx)
+            left &= ~cover_bits[idx]
+        elif gain:
+            heapq.heappush(heap, (-gain, cost, idx))
     return chosen
 
 
@@ -201,17 +216,8 @@ def exact_cover(k: int, primes: List[Implicant],
                                            implicant_pattern(p, k)))
     costs = [implicant_cost(p, k) for p in primes]
     patterns = [implicant_pattern(p, k) for p in primes]
-    ms = sorted(minterms)
-    pos_of = {m: i for i, m in enumerate(ms)}
-    cover_bits = []
-    for p in primes:
-        bits = 0
-        for v in expand_implicant(p):
-            i = pos_of.get(v)
-            if i is not None:
-                bits |= 1 << i
-        cover_bits.append(bits)
-    full = (1 << len(ms)) - 1
+    cover_bits = _cover_bits(primes, minterms)
+    full = (1 << len(minterms)) - 1
 
     # the only zero-cost implicant is the all-star cube, unbeatable alone
     if costs and costs[0] == 0:
@@ -226,7 +232,7 @@ def exact_cover(k: int, primes: List[Implicant],
     while changed and remaining:
         changed = False
         # essential implicants
-        for pos in _bit_positions(remaining):
+        for pos in bit_positions(remaining):
             if not remaining >> pos & 1:
                 continue
             holders = [i for i in active if cover_bits[i] >> pos & 1]
@@ -265,7 +271,7 @@ def exact_cover(k: int, primes: List[Implicant],
         holder_mask: Dict[int, int] = {}
         for i in active:
             bits = cover_bits[i] & remaining
-            for pos in _bit_positions(bits):
+            for pos in bit_positions(bits):
                 holder_mask[pos] = holder_mask.get(pos, 0) | (1 << i)
         positions = sorted(holder_mask)
         for a in positions:
@@ -288,15 +294,14 @@ def exact_cover(k: int, primes: List[Implicant],
         return [primes[i] for i in cover], True
 
     base_cost = sum(costs[i] for i in chosen)
-    live_order = sorted(active, key=lambda i: (costs[i], patterns[i]))
-    greedy = _greedy_pick(live_order, cover_bits, costs, remaining)
+    greedy = _greedy_pick(active, cover_bits, costs, remaining)
     greedy = _prune_redundant(greedy, cover_bits, costs, remaining, patterns)
     best = chosen + greedy
     best_key = (sum(costs[i] for i in best), len(best),
                 tuple(sorted(patterns[i] for i in best)))
 
     holders_by_pos: Dict[int, List[int]] = {}
-    for pos in _bit_positions(remaining):
+    for pos in bit_positions(remaining):
         holders_by_pos[pos] = sorted(
             (i for i in active if cover_bits[i] >> pos & 1),
             key=lambda i: (costs[i], patterns[i]))
@@ -317,7 +322,7 @@ def exact_cover(k: int, primes: List[Implicant],
             return
         if cost_so_far + 1 > state["best_key"][0]:
             return
-        pivot = min(_bit_positions(left),
+        pivot = min(bit_positions(left),
                     key=lambda pos: (len(holders_by_pos[pos]), pos))
         for i in holders_by_pos[pivot]:
             if state["exhausted"]:
@@ -363,19 +368,9 @@ def greedy_cover(k: int, minterms: Set[int], dontcares: Set[int]) -> List[Implic
     cubes = sorted({_grow_prime_cube(m, k, allowed) for m in minterms})
     costs = [implicant_cost(c, k) for c in cubes]
     pats = [implicant_pattern(c, k) for c in cubes]
-    ms = sorted(minterms)
-    pos_of = {m: i for i, m in enumerate(ms)}
-    cover_bits = []
-    for c in cubes:
-        mask, value = c
-        bits = 0
-        for i, m in enumerate(ms):
-            if m & ~mask == value:
-                bits |= 1 << i
-        cover_bits.append(bits)
-    full = (1 << len(ms)) - 1
-    order = sorted(range(len(cubes)), key=lambda i: (costs[i], pats[i]))
-    chosen = _greedy_pick(order, cover_bits, costs, full)
+    cover_bits = _cover_bits(cubes, minterms)
+    full = (1 << len(minterms)) - 1
+    chosen = _greedy_pick(range(len(cubes)), cover_bits, costs, full)
     chosen = _prune_redundant(chosen, cover_bits, costs, full, pats)
     return [cubes[i] for i in sorted(chosen, key=lambda i: pats[i])]
 

@@ -49,6 +49,23 @@ def test_tokens_requires_zone_source(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("body", [
+    pytest.param("# n=2 k=1 algorithm=x\n0\t0\n5\t1\n", id="cell-out-of-range"),
+    pytest.param("# k=1 algorithm=x\n0\t0\n1\t1\n", id="header-without-n"),
+    pytest.param("# n=2 k=1 algorithm=x\n0\t0\n0\t1\n1\t0\n", id="duplicated-cell"),
+    pytest.param("# n=2 k=1 algorithm=x\n0\t0\n1\t2\n", id="non-binary-codeword"),
+])
+def test_tokens_rejects_malformed_encoding(tmp_path, capsys, body):
+    enc_path = tmp_path / "enc.tsv"
+    enc_path.write_text(body)
+    code, out, err = run_cli(capsys, "tokens", "--encoding", str(enc_path),
+                             "--cells", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_benchmark_with_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

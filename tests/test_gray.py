@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from hvezones.gray import (Codeword, brg_path, codeword,
+from hvezones.gray import (Codeword, bit_positions, brg_path, codeword,
                            complete_cycle, cycle_to_token, distance_ring,
-                           gray_rank, gray_value, hamming, token_to_cycle)
+                           gray_rank, gray_value, hamming, ring_values,
+                           token_to_cycle)
 
 
 def test_hamming_worked_example():
@@ -162,6 +163,22 @@ def test_distance_ring_examples():
     assert len(ring2) == 6
     assert [c.value for c in ring2] == sorted(c.value for c in ring2)
     assert all((c.value ^ center.value).bit_count() == 2 for c in ring2)
+
+
+def test_ring_values_match_combination_rings():
+    """The int-level ring walk against rings built from bit combinations."""
+    for width in range(1, 7):
+        for center in range(1 << width):
+            for i in range(width + 2):
+                want = sorted(center ^ sum(1 << p for p in combo)
+                              for combo in combinations(range(width), i))
+                assert ring_values(center, width, i) == want
+
+
+def test_bit_positions_match_bit_scan():
+    for mask in list(range(1 << 10)) + [1 << 200, (1 << 130) - 1, 0b1011 << 70]:
+        assert bit_positions(mask) == tuple(
+            p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 def test_distance_ring_range_check():

@@ -75,3 +75,27 @@ def test_encoding_file_rejects_missing_cells():
     buf = io.StringIO("# n=2 k=1 algorithm=x params=- seed=-\n0\t0\n")
     with pytest.raises(ValueError):
         read_encoding(buf)
+
+
+HEADER = "# n=2 k=1 algorithm=x params=- seed=-\n"
+MALFORMED_ENCODINGS = {
+    "cell id out of range": HEADER + "0\t0\n2\t1\n",
+    "negative cell id": HEADER + "0\t0\n-1\t1\n",
+    "header without n=": "# k=1 algorithm=x\n0\t0\n1\t1\n",
+    "header item without =": "# n=2 k=1 junk\n0\t0\n1\t1\n",
+    "non-numeric n": "# n=two k=1\n0\t0\n1\t1\n",
+    "duplicated cell line": HEADER + "0\t0\n0\t1\n1\t0\n",
+    "codeword with a non-binary symbol": HEADER + "0\t0\n1\t2\n",
+    "codeword with a base prefix": "# n=2 k=3\n0\t000\n1\t0b1\n",
+    "codeword with an underscore": "# n=2 k=3\n0\t000\n1\t1_0\n",
+    "codeword of the wrong width": "# n=2 k=2\n0\t00\n1\t1\n",
+    "record without a tab": HEADER + "0\t0\n1 1\n",
+    "two cells on one codeword": HEADER + "0\t1\n1\t1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENCODINGS))
+def test_encoding_file_rejects_malformed_input(case):
+    with pytest.raises(ValueError) as info:
+        read_encoding(io.StringIO(MALFORMED_ENCODINGS[case]))
+    assert "\n" not in str(info.value)

@@ -7,10 +7,10 @@ import random
 import pytest
 
 from hvezones.gray import cycle_node_values, ring_values
-from hvezones.grid import Grid
-from hvezones.optimizers import (Assignment, OpCounter, default_seed_cell,
-                                 gray_optimizer, hge_baseline, msgo,
-                                 random_baseline, sgo)
+from hvezones.grid import Cell, Grid
+from hvezones.optimizers import (Assignment, OpCounter, _quad_labels,
+                                 default_seed_cell, gray_optimizer,
+                                 hge_baseline, msgo, random_baseline, sgo)
 
 
 def stage_objective(prob_at, k, seed_index, distance):
@@ -261,3 +261,142 @@ def test_depth_limited_pass_then_completion():
     got_ring1 = {c for c in range(32) if enc.value(c) in ring1}
     assert got_ring1 == expect_ring1
     assert enc.value(seed) == 0
+
+
+# --- oracles for the closed-form depth-one stage and the array HGE labels ---
+
+def weighted_go_stage(self, seed_index, distance, counter=None):
+    """Cycle-weighted stage at every distance, depth one included: each
+    free ring codeword weighs the per-factor mean log-probability of the
+    assigned cells on its seed cycle, then rank-to-rank matching."""
+    ring = [c for c in ring_values(seed_index, self.k, distance)
+            if self.cell_at[c] is None]
+    if not ring:
+        return
+    weighted = []
+    for cj in ring:
+        total = 0.0
+        factors = 0
+        for node in cycle_node_values(seed_index, cj):
+            if node == cj:
+                continue
+            cell = self.cell_at[node]
+            if cell is not None:
+                total += self.logp[cell]
+                factors += 1
+        if counter is not None:
+            counter.record_product(factors)
+        weight = total / factors if factors else -math.inf
+        weighted.append((weight, cj))
+    weighted.sort(key=lambda t: (-t[0], t[1]))
+    cells = self.take_top_cells(len(ring))
+    for cell, (_, cj) in zip(cells, weighted):
+        self.assign(cell, cj)
+
+
+def encode_all(g):
+    """Every encoder whose passes run depth-one stages, with its counter."""
+    runs = {
+        "GO": lambda c: gray_optimizer(g, counter=c),
+        "GO depth 1": lambda c: gray_optimizer(g, depth=1, counter=c),
+        "MSGO depth 1": lambda c: msgo(g, depth=1, rng_seed=3, counter=c),
+        "MSGO depth 2 random": lambda c: msgo(g, depth=2, rng_seed=3,
+                                              seed_policy="random", counter=c),
+        "MSGO depth 4": lambda c: msgo(g, depth=4, rng_seed=3, counter=c),
+        "SGO": lambda c: sgo(g, counter=c),
+    }
+    out = {}
+    for name, run in runs.items():
+        counter = OpCounter()
+        out[name] = (run(counter).forward, counter.multiplications)
+    return out
+
+
+def oracle_grids():
+    rng = random.Random(21)
+    yield Grid.regular(1, [0.7])
+    yield Grid.regular(1, [0.0])
+    for n in (16, 64, 100):
+        yield Grid.regular(n, [0.5] * n)                        # all ties
+    for n in (32, 100, 256):
+        yield Grid.regular(n, [0.0 if rng.random() < 0.4 else rng.random()
+                               for _ in range(n)])              # zero cells
+    for n in (3, 5, 33, 100, 1000):                             # dummy seeds
+        yield Grid.regular(n, [rng.random() for _ in range(n)])
+    yield Grid.regular(200, [rng.choice((0.0, 0.25, 0.5)) for _ in range(200)])
+
+
+def test_depth_one_stage_matches_weighted_oracle(monkeypatch):
+    grids = list(oracle_grids())
+    got = [encode_all(g) for g in grids]
+    monkeypatch.setattr(Assignment, "go_stage", weighted_go_stage)
+    want = [encode_all(g) for g in grids]
+    for g, mine, oracle in zip(grids, got, want):
+        assert mine == oracle, g.n
+
+
+def quad_leaf(x, y, levels):
+    """Scalar root-to-leaf label path: 2 Gray bits per level, NW NE SE SW."""
+    x0, y0, x1, y1 = 0.0, 0.0, 1.0, 1.0
+    label = 0
+    for _ in range(levels):
+        mx, my = (x0 + x1) / 2, (y0 + y1) / 2
+        west = x < mx
+        north = y >= my
+        if north and west:
+            bits = 0b00
+            x1, y0 = mx, my
+        elif north:
+            bits = 0b01
+            x0, y0 = mx, my
+        elif not west:
+            bits = 0b11
+            x0, y1 = mx, my
+        else:
+            bits = 0b10
+            x1, y1 = mx, my
+        label = label << 2 | bits
+    return label
+
+
+def scalar_hge_forward(grid):
+    levels = max(1, math.ceil(math.log(grid.n, 4))) if grid.n > 1 else 1
+    while True:
+        leaves = [quad_leaf(c.x, c.y, levels) for c in grid.cells]
+        if len(set(leaves)) == grid.n:
+            return 2 * levels, tuple(leaves)
+        levels += 1
+
+
+def test_quad_labels_match_scalar_oracle():
+    rng = random.Random(8)
+    dyadic = [i / 16 for i in range(17)]  # every midpoint down to level 4
+    points = [(rng.random(), rng.random()) for _ in range(300)]
+    points += [(x, y) for x in dyadic for y in dyadic]
+    points += [(0.5, 0.5), (0.25, 0.75), (0.75, 0.25), (0.5 - 1e-17, 0.5),
+               (math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0))]
+    cells = [Cell(i, x, y, 0.5) for i, (x, y) in enumerate(points)]
+    for levels in (1, 2, 3, 5, 12, 24):
+        assert _quad_labels(cells, levels).tolist() == \
+            [quad_leaf(x, y, levels) for x, y in points]
+
+
+@pytest.mark.parametrize("points", [
+    [(0.3, 0.6), (0.3 + 1e-4, 0.6), (0.9, 0.1), (0.1, 0.1)],   # tree deepens
+    [(0.5, 0.5), (0.25, 0.75), (0.75, 0.25), (0.5, 0.25), (0.25, 0.5)],
+    [(0.5, 0.5), (math.nextafter(0.5, 0.0), 0.5)],
+])
+def test_hge_matches_scalar_oracle(points):
+    grid = Grid([Cell(i, x, y, 0.5) for i, (x, y) in enumerate(points)])
+    enc = hge_baseline(grid)
+    assert (enc.k, enc.forward) == scalar_hge_forward(grid)
+
+
+def test_hge_matches_scalar_oracle_on_regular_and_random_grids():
+    rng = random.Random(13)
+    grids = [Grid.regular(n) for n in (1, 2, 4, 15, 16, 100, 1000, 4097)]
+    grids.append(Grid([Cell(i, rng.random(), rng.random(), 0.5)
+                       for i in range(200)]))
+    for grid in grids:
+        enc = hge_baseline(grid)
+        assert (enc.k, enc.forward) == scalar_hge_forward(grid)

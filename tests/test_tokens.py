@@ -8,7 +8,7 @@ import random
 import pytest
 
 from hvezones.grid import Grid, GridEncoding
-from hvezones.tokens import (expand_implicant, greedy_cover,
+from hvezones.tokens import (_greedy_pick, expand_implicant, greedy_cover,
                              implicant_pattern, minimize, pairing_cost,
                              pattern_implicant, write_token_set,
                              zone_probability)
@@ -225,3 +225,48 @@ def test_token_set_text_format():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# cost=2 zone_size=4 encoder=GO exact=yes"
     assert lines[1:] == ["00**"]
+
+
+def rescan_greedy_pick(candidates, cover_bits, costs, full):
+    """Reference greedy cover: a full rescan per pick for the least
+    (-gain, cost, index) key."""
+    chosen = []
+    left = full
+    while left:
+        best_key = None
+        for idx in candidates:
+            gain = (cover_bits[idx] & left).bit_count()
+            if gain:
+                key = (-gain, costs[idx], idx)
+                if best_key is None or key < best_key:
+                    best_key = key
+        if best_key is None:
+            raise ValueError("cover is infeasible")
+        chosen.append(best_key[2])
+        left &= ~cover_bits[best_key[2]]
+    return chosen
+
+
+def test_lazy_greedy_pick_matches_full_rescan():
+    """Random instances with many gain and cost ties: few minterms, small
+    cubes, two cost levels, candidates in shuffled order."""
+    rng = random.Random(17)
+    for trial in range(400):
+        width = rng.randrange(1, 24)
+        count = rng.randrange(1, 40)
+        cover_bits = [sum(1 << b for b in rng.sample(range(width),
+                                                     rng.randrange(0, min(width, 5) + 1)))
+                      for _ in range(count)]
+        costs = [rng.randrange(1, 3) for _ in range(count)]
+        candidates = rng.sample(range(count), rng.randrange(1, count + 1))
+        reachable = 0
+        for idx in candidates:
+            reachable |= cover_bits[idx]
+        full = reachable if trial % 4 else reachable | rng.getrandbits(width)
+        try:
+            want = rescan_greedy_pick(candidates, cover_bits, costs, full)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _greedy_pick(candidates, cover_bits, costs, full)
+            continue
+        assert _greedy_pick(candidates, cover_bits, costs, full) == want
