@@ -248,7 +248,9 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]
 
     Noise, when requested, perturbs only the probabilities fed to the
     optimizer; zones are always drawn from the true probabilities.  Trial
-    failures are isolated and reported in the second return value.
+    failures are isolated and reported in the second return value, except
+    a failed verification (AssertionError from `spot_check`), which aborts
+    the run.
     """
     cfg.validate()
     model = SigmoidModel(cfg.a, cfg.b)
@@ -257,6 +259,8 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]
     for trial in range(cfg.trials):
         try:
             results.extend(_run_one_trial(cfg, model, trial))
+        except AssertionError as exc:
+            raise AssertionError(f"trial {trial}: {exc}") from exc
         except Exception as exc:  # noqa: BLE001 - trial isolation is the contract
             failures.append(f"trial {trial}: {exc}")
     return results, failures

@@ -4,8 +4,9 @@ Subcommands: encode, tokens, benchmark, depth-sweep, timing, dynamics,
 hve-demo.  Experiment subcommands read an optional config file of
 `key = value` lines (# starts a comment) whose keys mirror the
 ExperimentConfig fields; command-line flags override file values.  CSV
-goes to stdout unless --out is given.  Exit status is 0 on success and 2
-with a diagnostic line on a configuration error.
+goes to stdout unless --out is given.  Exit status is 0 on success, 2
+with a diagnostic line on a configuration error, and 1 with a diagnostic
+line when a trial's verification fails or every trial fails.
 """
 
 from __future__ import annotations
@@ -268,6 +269,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, ValueError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

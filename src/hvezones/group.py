@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 Element = Tuple[int, int]  # exponent pair (mod P, mod Q); used for G and G_T alike
 
@@ -129,6 +129,22 @@ class BilinearGroup:
     def pair(self, x: Element, y: Element) -> Element:
         """Bilinear map into the target group."""
         return (x[0] * y[0] % self.p, x[1] * y[1] % self.q)
+
+    def pair_product(self, xs: Sequence[Element], ys: Sequence[Element]) -> Element:
+        """Multi-pairing: the target-group product of e(xs[i], ys[i]).
+
+        Every factor is one `pair` call, so pairing counts stay exact;
+        the target exponents are summed and reduced once.  A curve backend
+        puts its multi-pairing here, sharing one final exponentiation
+        across the factors.  The empty product is the identity.
+        """
+        if len(xs) != len(ys):
+            raise ValueError(f"{len(xs)} left factors but {len(ys)} right ones")
+        a = b = 0
+        for ta, tb in map(self.pair, xs, ys):
+            a += ta
+            b += tb
+        return (a % self.p, b % self.q)
 
     # --- sampling ---
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 from .group import BilinearGroup, Element
@@ -252,16 +253,22 @@ def query(group: BilinearGroup,
 
     Returns the encrypted message id when the attribute satisfies the
     pattern and a non-match (message None) otherwise, along with the exact
-    number of pairings evaluated (2*|J| + 1).
+    number of pairings evaluated (2*|J| + 1).  The value is
+    C' * prod_{i in J} e(C_{i,1}, K_{i,1}) e(C_{i,2}, K_{i,2}) / e(C_0, K_0),
+    with the 2*|J| position pairings taken as one multi-pairing.
     """
     if c.width != tk.width:
         raise ValueError(f"ciphertext width {c.width} != token width {tk.width}")
-    denom = group.pair(c.c0, tk.k0)
-    pairings = 1
-    for j, i in enumerate(tk.positions):
-        num = group.mul(group.pair(c.c1[i], tk.k1[j]),
-                        group.pair(c.c2[i], tk.k2[j]))
-        pairings += 2
-        denom = group.mul(denom, group.inv(num))
-    value = group.mul(c.c_prime, group.inv(denom))
-    return QueryResult(message=messages.lookup(value), value=value, pairings=pairings)
+    positions = tk.positions
+    if len(positions) > 1:
+        pick = itemgetter(*positions)
+        xs = pick(c.c1) + pick(c.c2)
+    elif positions:
+        i, = positions
+        xs = (c.c1[i], c.c2[i])
+    else:
+        xs = ()
+    num = group.pair_product(xs, tk.k1 + tk.k2)
+    value = group.mul(group.mul(c.c_prime, num), group.inv(group.pair(c.c0, tk.k0)))
+    return QueryResult(message=messages.lookup(value), value=value,
+                       pairings=len(xs) + 1)

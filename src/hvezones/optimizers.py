@@ -270,6 +270,9 @@ def msgo(grid: Grid,
     depth = min(depth, grid.k)
     rng = random.Random(rng_seed)
     state = Assignment(grid)
+    # assignments never revert, so one cursor over the codewords in
+    # (weight, value) order finds every "bfs" seed in O(space) overall
+    bfs_order = iter(sorted(range(state.space), key=lambda i: (i.bit_count(), i)))
     first = True
     while state.unassigned_indices:
         if first and first_index is not None:
@@ -279,9 +282,7 @@ def msgo(grid: Grid,
         elif seed_policy == "random":
             index = state.random_unassigned_index(rng)
         else:
-            index = min(
-                (i for i in range(state.space) if state.cell_at[i] is None),
-                key=lambda i: (i.bit_count(), i))
+            index = next(i for i in bfs_order if state.cell_at[i] is None)
         first = False
         state.assign(state.top_unassigned_cell(), index)
         state.go_pass(index, depth, counter)

@@ -192,16 +192,25 @@ def _greedy_pick(candidates: Iterable[int], cover_bits: List[int],
 
 def _prune_redundant(chosen: List[int], cover_bits: List[int], costs: List[int],
                      full: int, tie: List[str]) -> List[int]:
-    """Drop patterns whose removal leaves the zone covered, costliest first."""
-    kept = list(chosen)
+    """Drop patterns whose removal leaves the zone covered, costliest first.
+
+    `chosen` must cover `full`.  A pattern can go when every minterm it
+    covers is covered by at least one other kept pattern, so a per-minterm
+    count of kept holders replaces rebuilding the union of the others.
+    """
+    spans = {i: bit_positions(cover_bits[i] & full) for i in chosen}
+    holders = [0] * full.bit_length()
+    for i in chosen:
+        for pos in spans[i]:
+            holders[pos] += 1
+    dropped = set()
     for idx in sorted(chosen, key=lambda i: (-costs[i], tie[i])):
-        rest = 0
-        for j in kept:
-            if j != idx:
-                rest |= cover_bits[j]
-        if rest & full == full and len(kept) > 1:
-            kept.remove(idx)
-    return kept
+        if (len(chosen) - len(dropped) > 1
+                and all(holders[pos] > 1 for pos in spans[idx])):
+            dropped.add(idx)
+            for pos in spans[idx]:
+                holders[pos] -= 1
+    return [i for i in chosen if i not in dropped]
 
 
 def exact_cover(k: int, primes: List[Implicant],

@@ -6,13 +6,17 @@ magnitude; zero encodes as length 0).  Group elements are two integers,
 strings are length-prefixed ASCII.  The group factors (P, Q) are embedded
 so each blob decodes standalone; this leaks the factorization, which is
 consistent with the reference group being deliberately insecure.
+
+Loaders reject, with WireError, truncated blobs, trailing bytes after the
+last field, non-ASCII strings, and tokens whose positions are not exactly
+their pattern's non-star positions in ascending order.
 """
 
 from __future__ import annotations
 
 import io
 from .group import BilinearGroup, Element
-from .hve import Ciphertext, HveToken, PublicKey, SecretKey
+from .hve import Ciphertext, HveToken, PublicKey, SecretKey, check_pattern
 
 VERSION = 1
 
@@ -68,7 +72,10 @@ def _read_str(buf: io.BytesIO) -> str:
     raw = buf.read(size)
     if len(raw) != size:
         raise WireError("truncated string body")
-    return raw.decode("ascii")
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise WireError("string is not ASCII") from exc
 
 
 def _header(buf: io.BytesIO, tag: int) -> None:
@@ -83,6 +90,11 @@ def _check_header(buf: io.BytesIO, tag: int) -> None:
         raise WireError(f"unsupported version {head[0]}")
     if head[1] != tag:
         raise WireError(f"expected tag {tag}, found {head[1]}")
+
+
+def _check_end(buf: io.BytesIO) -> None:
+    if buf.read(1):
+        raise WireError("trailing bytes after the last field")
 
 
 def dump_public_key(pk: PublicKey) -> bytes:
@@ -114,6 +126,7 @@ def load_public_key(blob: bytes) -> PublicKey:
         u.append(_read_element(buf))
         h.append(_read_element(buf))
         w.append(_read_element(buf))
+    _check_end(buf)
     return PublicKey(group=group, g_q=g_q, v_blinded=v_blinded, a_pair=a_pair,
                      u_blinded=tuple(u), h_blinded=tuple(h), w_blinded=tuple(w))
 
@@ -149,6 +162,7 @@ def load_secret_key(blob: bytes) -> SecretKey:
         u.append(_read_element(buf))
         h.append(_read_element(buf))
         w.append(_read_element(buf))
+    _check_end(buf)
     return SecretKey(group=group, g_q=g_q, a=a, g=g, v=v,
                      u=tuple(u), h=tuple(h), w=tuple(w))
 
@@ -175,6 +189,7 @@ def load_ciphertext(blob: bytes) -> Ciphertext:
     for _ in range(width):
         c1.append(_read_element(buf))
         c2.append(_read_element(buf))
+    _check_end(buf)
     return Ciphertext(c_prime=c_prime, c0=c0, c1=tuple(c1), c2=tuple(c2))
 
 
@@ -202,5 +217,12 @@ def load_token(blob: bytes) -> HveToken:
         positions.append(_read_int(buf))
         k1.append(_read_element(buf))
         k2.append(_read_element(buf))
+    _check_end(buf)
+    try:
+        check_pattern(pattern)
+    except ValueError as exc:
+        raise WireError(str(exc)) from exc
+    if positions != [i for i, ch in enumerate(pattern) if ch != "*"]:
+        raise WireError("token positions are not the pattern's non-star positions")
     return HveToken(pattern=pattern, k0=k0, positions=tuple(positions),
                     k1=tuple(k1), k2=tuple(k2))

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import dataclasses
+
 import pytest
 
 from hvezones.cli import main, parse_config_file
@@ -159,3 +161,23 @@ def test_parse_config_file_types(tmp_path):
     assert values["uniform_zones"] is True
     assert values["verify"] is False
     assert values["walks"] == 1000
+
+
+def test_benchmark_verification_failure_is_fatal(monkeypatch, capsys):
+    """A query that misreports its pairings fails spot_check; the run
+    aborts with one diagnostic line instead of a per-trial warning."""
+    from hvezones import bench
+
+    real_query = bench.query
+
+    def misreporting_query(*args, **kwargs):
+        result = real_query(*args, **kwargs)
+        return dataclasses.replace(result, pairings=result.pairings + 1)
+
+    monkeypatch.setattr(bench, "query", misreporting_query)
+    code, out, err = run_cli(capsys, "benchmark", "--n", "16", "--algorithm", "GO",
+                             "--fractions", "0.5", "--trials", "2", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: verification failed: trial 0: pairing counter mismatch")

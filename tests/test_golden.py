@@ -1,10 +1,11 @@
-"""Byte-identity gate for the encoders and the minimizer.
+"""Byte-identity gate for the encoders, the minimizer and HVE queries.
 
-Each case hashes the repr of an encoder's `forward` tuple or of a
-minimized zone's (patterns, cost, exact) on fixed seeds.  The pinned
-digests were taken before the encoders and the minimizer were last
-optimized; a speed-up must reproduce them exactly, and a change that
-moves them on purpose has to say why the new output is more correct.
+Each case hashes the repr of an encoder's `forward` tuple, of a
+minimized zone's (patterns, cost, exact), or of every (value, pairings,
+message) of a fixed query corpus, on fixed seeds.  The pinned digests
+were taken before the code they cover was last optimized; a speed-up
+must reproduce them exactly, and a change that moves them on purpose has
+to say why the new output is more correct.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 
 from hvezones import bench
 from hvezones.grid import Grid
+from hvezones.hve import MessageSpace, encrypt, gen_token, query, setup
 from hvezones.optimizers import gray_optimizer, hge_baseline, msgo, sgo
 from hvezones.tokens import EXACT_SPACE_LIMIT, minimize
 
@@ -122,3 +124,31 @@ def test_minimize_digest(algorithm, n, seed, fraction, dummy):
     assert ((1 << enc.k) > EXACT_SPACE_LIMIT) == (n == 5000)
     key = f"{algorithm}/{n}/{seed}/{fraction}/{dummy}"
     assert digest((ts.patterns, ts.cost, ts.exact)) == MINIMIZE_DIGESTS[key]
+
+
+# (width, seed) of each HVE scheme in the query corpus; every ciphertext
+# meets all-star, sparse, dense and star-free tokens, about half of them
+# with flipped bits so that non-matches occur
+QUERY_SCHEMES = ((1, 1), (3, 2), (6, 3), (10, 4), (16, 5))
+QUERY_DIGEST = "f0cbb3f44e3016b1fc53964523e605b93dc92c63aa70fa843113f2108b6ad3d9"
+
+
+def test_query_digest():
+    out = []
+    for width, seed in QUERY_SCHEMES:
+        pk, sk = setup(width, seed=seed)
+        messages = MessageSpace(pk.group, [3, 8], seed=seed)
+        rng = random.Random(f"golden/query/{width}/{seed}")
+        for _ in range(30):
+            attribute = "".join(rng.choice("01") for _ in range(width))
+            c = encrypt(pk, attribute, messages.element(rng.choice((3, 8))), rng)
+            for star in (0.0, 0.3, 0.7, 1.0):
+                flip = rng.random() < 0.5
+                pattern = "".join(
+                    "*" if rng.random() < star
+                    else (str(1 - int(a)) if flip and rng.random() < 0.3 else a)
+                    for a in attribute)
+                r = query(pk.group, c, gen_token(sk, pattern, rng), messages)
+                out.append((r.value, r.pairings, r.message))
+    assert sum(m is not None for _, _, m in out) == 463
+    assert digest(out) == QUERY_DIGEST

@@ -81,3 +81,18 @@ def test_group_law_identities():
     assert grp.mul(x, grp.inv(x)) == grp.identity
     assert grp.power(x, 0) == grp.identity
     assert grp.power(x, grp.p * grp.q) == grp.identity  # group order kills all
+
+
+def test_pair_product_matches_folded_pairings():
+    grp = BilinearGroup.generate(seed=13)
+    rng = random.Random(8)
+    assert grp.pair_product((), ()) == grp.identity
+    for size in range(1, 25):
+        xs = [grp.random_element(rng) for _ in range(size)]
+        ys = [grp.random_element(rng) for _ in range(size)]
+        want = grp.identity
+        for x, y in zip(xs, ys):
+            want = grp.mul(want, grp.pair(x, y))
+        assert grp.pair_product(xs, ys) == want
+    with pytest.raises(ValueError):
+        grp.pair_product([grp.g, grp.g], [grp.g])

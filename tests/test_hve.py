@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hvezones import wire
+from hvezones.group import BilinearGroup
 from hvezones.hve import MessageSpace, encrypt, gen_token, query, setup
 
 
@@ -184,3 +185,32 @@ def test_exhaustive_match_semantics_small_widths():
                 result = query(pk.group, c, token, messages)
                 assert result.pairings == expected_pairings
                 assert result.matched == matches(attribute, pattern)
+
+
+@pytest.mark.parametrize("attribute,pattern", [
+    ("0110", "****"),       # |J| = 0
+    ("0110", "**1*"),       # one position, match
+    ("0110", "*0**"),       # one position, non-match
+    ("0110", "0110"),       # full width, match
+    ("0110", "0111"),       # full width, non-match
+    ("0110", "0*1*"),
+    ("0110", "1**0"),
+])
+def test_pair_calls_equal_reported_pairings(monkeypatch, attribute, pattern):
+    """Every pairing the result reports is one call to BilinearGroup.pair."""
+    pk, sk, messages = make_scheme(4, seed=5)
+    rng = random.Random(4)
+    c = encrypt(pk, attribute, messages.element(8), rng)
+    token = gen_token(sk, pattern, rng)
+    calls = []
+    pair = BilinearGroup.pair
+
+    def counted(self, x, y):
+        calls.append(1)
+        return pair(self, x, y)
+
+    monkeypatch.setattr(BilinearGroup, "pair", counted)
+    result = query(pk.group, c, token, messages)
+    assert len(calls) == result.pairings
+    assert result.pairings == 2 * len(token.positions) + 1
+    assert result.matched == matches(attribute, pattern)

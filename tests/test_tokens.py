@@ -8,9 +8,9 @@ import random
 import pytest
 
 from hvezones.grid import Grid, GridEncoding
-from hvezones.tokens import (_greedy_pick, expand_implicant, greedy_cover,
-                             implicant_pattern, minimize, pairing_cost,
-                             pattern_implicant, write_token_set,
+from hvezones.tokens import (_greedy_pick, _prune_redundant, expand_implicant,
+                             greedy_cover, implicant_pattern, minimize,
+                             pairing_cost, pattern_implicant, write_token_set,
                              zone_probability)
 
 
@@ -270,3 +270,39 @@ def test_lazy_greedy_pick_matches_full_rescan():
                 _greedy_pick(candidates, cover_bits, costs, full)
             continue
         assert _greedy_pick(candidates, cover_bits, costs, full) == want
+
+
+def union_prune_redundant(chosen, cover_bits, costs, full, tie):
+    """Reference pruning: rebuild the union of the other kept patterns for
+    every candidate, costliest first."""
+    kept = list(chosen)
+    for idx in sorted(chosen, key=lambda i: (-costs[i], tie[i])):
+        rest = 0
+        for j in kept:
+            if j != idx:
+                rest |= cover_bits[j]
+        if rest & full == full and len(kept) > 1:
+            kept.remove(idx)
+    return kept
+
+
+def test_prune_redundant_matches_union_rebuild():
+    """Random covers with heavy overlap, two cost levels, repeated tie
+    strings, bits outside the target and patterns that cover none of it."""
+    rng = random.Random(23)
+    for trial in range(600):
+        width = rng.randrange(1, 20)
+        count = rng.randrange(1, 30)
+        cover_bits = [sum(1 << b for b in rng.sample(range(width),
+                                                     rng.randrange(0, min(width, 6) + 1)))
+                      for _ in range(count)]
+        costs = [rng.randrange(1, 3) for _ in range(count)]
+        tie = [rng.choice("ab") for _ in range(count)]
+        chosen = rng.sample(range(count), rng.randrange(1, count + 1))
+        full = 0
+        for idx in chosen:
+            full |= cover_bits[idx]
+        if trial % 3 == 0:
+            full &= rng.getrandbits(width)
+        want = union_prune_redundant(chosen, cover_bits, costs, full, tie)
+        assert _prune_redundant(chosen, cover_bits, costs, full, tie) == want

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hvezones import wire
-from hvezones.hve import MessageSpace, encrypt, gen_token, setup
+from hvezones.hve import HveToken, MessageSpace, encrypt, gen_token, setup
 
 
 def test_key_round_trips():
@@ -51,3 +51,48 @@ def test_unknown_version_rejected():
     blob = bytes([99]) + wire.dump_public_key(pk)[1:]
     with pytest.raises(wire.WireError):
         wire.load_public_key(blob)
+
+
+
+def blobs_of_each_kind():
+    pk, sk = setup(4, seed=3)
+    messages = MessageSpace(pk.group, [1], seed=0)
+    rng = random.Random(2)
+    c = encrypt(pk, "0110", messages.element(1), rng)
+    t = gen_token(sk, "01*0", rng)
+    return {"public_key": (wire.load_public_key, wire.dump_public_key(pk)),
+            "secret_key": (wire.load_secret_key, wire.dump_secret_key(sk)),
+            "ciphertext": (wire.load_ciphertext, wire.dump_ciphertext(c)),
+            "token": (wire.load_token, wire.dump_token(t))}
+
+
+@pytest.mark.parametrize("kind", ["public_key", "secret_key", "ciphertext", "token"])
+def test_trailing_bytes_rejected(kind):
+    load, blob = blobs_of_each_kind()[kind]
+    load(blob)
+    for tail in (b"\x00", b"\x00\x00\x00\x00"):
+        with pytest.raises(wire.WireError):
+            load(blob + tail)
+
+
+@pytest.mark.parametrize("pattern,positions", [
+    ("01*0", (0, 1, 2)),      # a star position
+    ("01*0", (1, 0, 3)),      # not ascending
+    ("01*0", (0, 1)),         # a non-star position missing
+    ("01*0", (0, 1, 3, 3)),   # a repeated position
+    ("01*0", (0, 1, 9)),      # beyond the width
+    ("01x0", (0, 1, 2, 3)),   # a symbol outside {0,1,*}
+])
+def test_token_positions_must_be_the_non_star_positions(pattern, positions):
+    el = (1, 1)
+    tk = HveToken(pattern=pattern, k0=el, positions=positions,
+                  k1=(el,) * len(positions), k2=(el,) * len(positions))
+    with pytest.raises(wire.WireError):
+        wire.load_token(wire.dump_token(tk))
+
+
+def test_non_ascii_string_rejected():
+    _, blob = blobs_of_each_kind()["token"]
+    at = blob.index(b"01*0")
+    with pytest.raises(wire.WireError):
+        wire.load_token(blob[:at] + b"\xc3" + blob[at + 1:])
