@@ -30,7 +30,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -100,12 +100,6 @@ class TransitionMatrix:
         if self.damped:
             out = self.alpha * out + (1.0 - self.alpha) * dist.sum() / self.states
         return out
-
-    def entry(self, i: int, j: int) -> float:
-        value = self.alpha * self.base[i, j]
-        if self.damped:
-            value += (1.0 - self.alpha) / self.states
-        return float(value)
 
     def to_dense(self) -> np.ndarray:
         dense = self.alpha * self.base.toarray()
@@ -352,15 +346,3 @@ class UniformChain:
             else:
                 state = self.step(state, rng)
         return state
-
-
-def dump_distribution(fp: IO[str], s: StationaryDistribution) -> None:
-    """Text lines: state bitmask, TAB, probability."""
-    for state, prob in enumerate(s.probs):
-        fp.write(f"{state}\t{prob:.12g}\n")
-
-
-def dump_marginals(fp: IO[str], marginals: Sequence[float]) -> None:
-    """Text lines: cell id, TAB, probability."""
-    for cell, prob in enumerate(marginals):
-        fp.write(f"{cell}\t{prob:.12g}\n")

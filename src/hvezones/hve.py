@@ -113,7 +113,7 @@ class HveToken:
         return len(self.pattern)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueryResult:
     message: Optional[int]      # registered message id, or None on non-match
     value: Element              # the recovered target-group value

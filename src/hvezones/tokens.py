@@ -8,11 +8,12 @@ quantity that drives pairing work at query time (2 per non-star plus 1).
 
 Spaces up to 2^k = 4096 are minimized exactly: Quine-McCluskey prime
 implicants followed by a minimum-cost cover search with essential and
-dominance reductions and branch-and-bound (a deterministic node budget
-keeps degenerate dense cores from stalling; exhausting it falls back to
-the greedy incumbent and clears the `exact` flag).  Larger spaces go
-straight to a deterministic greedy set cover over prime cubes grown on
-demand from each minterm; those covers are flagged approximate as well.
+dominance reductions and branch-and-bound on the minterm with the fewest
+holders (a deterministic node budget keeps degenerate dense cores from
+stalling; exhausting it falls back to the greedy incumbent and clears the
+`exact` flag).  Larger spaces go straight to a deterministic greedy set
+cover over prime cubes grown on demand from each minterm; those covers
+are flagged approximate as well.
 The greedy pick is lazy (a heap of possibly stale gains, rechecked when
 popped) and chooses exactly what a full rescan per pick would.
 """
@@ -213,6 +214,17 @@ def _prune_redundant(chosen: List[int], cover_bits: List[int], costs: List[int],
     return [i for i in chosen if i not in dropped]
 
 
+def _holder_masks(active: int, cover_bits: List[int], remaining: int) -> List[int]:
+    """Per minterm position, the bitmask of the active primes covering it
+    (bit i for prime i); zero outside `remaining`."""
+    holders = [0] * remaining.bit_length()
+    for i in bit_positions(active):
+        bit = 1 << i
+        for pos in bit_positions(cover_bits[i] & remaining):
+            holders[pos] |= bit
+    return holders
+
+
 def exact_cover(k: int, primes: List[Implicant],
                 minterms: Set[int]) -> Tuple[List[Implicant], bool]:
     """Minimum-cost cover of the minterms by prime implicants.
@@ -234,66 +246,68 @@ def exact_cover(k: int, primes: List[Implicant],
 
     chosen: List[int] = []
     remaining = full
-    active = set(range(len(primes)))
+    active = (1 << len(primes)) - 1     # bit i set while prime i is live
 
-    # reductions to a cyclic core
+    # reductions to a cyclic core; primes are indexed in (cost, pattern)
+    # order, so a lower index is never costlier
     changed = True
     while changed and remaining:
         changed = False
-        # essential implicants
+        holders = _holder_masks(active, cover_bits, remaining)
+        # essential implicants: a minterm with a single holder; a chosen
+        # prime covers none of the minterms left, so the masks stay valid
         for pos in bit_positions(remaining):
             if not remaining >> pos & 1:
                 continue
-            holders = [i for i in active if cover_bits[i] >> pos & 1]
-            if not holders:
+            h = holders[pos]
+            if not h:
                 raise ValueError("cover is infeasible")
-            if len(holders) == 1:
-                i = holders[0]
+            if not h & (h - 1):
+                i = h.bit_length() - 1
                 chosen.append(i)
                 remaining &= ~cover_bits[i]
-                active.discard(i)
+                active &= ~h
                 changed = True
         if not remaining:
             break
-        # implicant dominance: drop i when some no-costlier j covers at
-        # least as much of what remains
-        live = sorted(active)
-        rem_cover = {i: cover_bits[i] & remaining for i in live}
-        for i in live:
-            ci = rem_cover[i]
+        # implicant dominance: drop i when some no-costlier live j covers
+        # at least as much of what remains; the primes covering all of i
+        # are the AND of its minterms' holders, and of those any lower
+        # index wins, a higher one only at equal cost and strictly more
+        for i in bit_positions(active):
+            ci = cover_bits[i] & remaining
             if ci == 0:
-                active.discard(i)
+                active &= ~(1 << i)
                 changed = True
                 continue
-            for j in active:
-                if j == i or costs[j] > costs[i]:
-                    continue
-                cj = rem_cover[j]
-                if ci & ~cj:
-                    continue
-                if ci != cj or (costs[j], j) < (costs[i], i):
-                    active.discard(i)
-                    changed = True
-                    break
+            over = active & ~(1 << i)
+            for pos in bit_positions(ci):
+                over &= holders[pos]
+            dominated = over & ((1 << i) - 1) != 0
+            if not dominated:
+                for j in bit_positions(over):
+                    if costs[j] > costs[i]:
+                        break
+                    if cover_bits[j] & remaining != ci:
+                        dominated = True
+                        break
+            if dominated:
+                active &= ~(1 << i)
+                changed = True
         # minterm dominance: covering b forces covering a when b's holder
-        # set is contained in a's
-        holder_mask: Dict[int, int] = {}
-        for i in active:
-            bits = cover_bits[i] & remaining
-            for pos in bit_positions(bits):
-                holder_mask[pos] = holder_mask.get(pos, 0) | (1 << i)
-        positions = sorted(holder_mask)
-        for a in positions:
-            if not remaining >> a & 1:
+        # set is contained in a's; every such b is covered by one of a's
+        # holders, so only their minterms are candidates
+        held = [h & active for h in holders]
+        for a in bit_positions(remaining):
+            ha = held[a]
+            if not ha or not remaining >> a & 1:
                 continue
-            ha = holder_mask[a]
-            for b in positions:
-                if a == b or not remaining >> b & 1:
-                    continue
-                hb = holder_mask[b]
-                if hb & ~ha:
-                    continue
-                if hb != ha or b < a:
+            near = 0
+            for j in bit_positions(ha):
+                near |= cover_bits[j]
+            for b in bit_positions(near & remaining & ~(1 << a)):
+                hb = held[b]
+                if hb and not hb & ~ha and (hb != ha or b < a):
                     remaining &= ~(1 << a)
                     changed = True
                     break
@@ -303,48 +317,56 @@ def exact_cover(k: int, primes: List[Implicant],
         return [primes[i] for i in cover], True
 
     base_cost = sum(costs[i] for i in chosen)
-    greedy = _greedy_pick(active, cover_bits, costs, remaining)
+    greedy = _greedy_pick(bit_positions(active), cover_bits, costs, remaining)
     greedy = _prune_redundant(greedy, cover_bits, costs, remaining, patterns)
     best = chosen + greedy
     best_key = (sum(costs[i] for i in best), len(best),
                 tuple(sorted(patterns[i] for i in best)))
 
-    holders_by_pos: Dict[int, List[int]] = {}
-    for pos in bit_positions(remaining):
-        holders_by_pos[pos] = sorted(
-            (i for i in active if cover_bits[i] >> pos & 1),
-            key=lambda i: (costs[i], patterns[i]))
+    # Branch on the minterm with the fewest holders (lowest position on
+    # ties).  That key is fixed for the whole search, so the minterms are
+    # renumbered in key order once: rank r is the r-th pivot choice, each
+    # prime's coverage becomes a mask over ranks, and the pivot of a
+    # residue is its lowest set bit.  Holders are tried in index order.
+    holders = _holder_masks(active, cover_bits, remaining)
+    order = sorted(bit_positions(remaining),
+                   key=lambda pos: (holders[pos].bit_count(), pos))
+    holders_at = [bit_positions(holders[pos]) for pos in order]
+    ranked = [0] * len(primes)
+    for r, held in enumerate(holders_at):
+        for i in held:
+            ranked[i] |= 1 << r
 
-    state = {"nodes": 0, "exhausted": False, "best": best, "best_key": best_key}
+    nodes = 0
+    exhausted = False
 
     def branch(picked: List[int], left: int, cost_so_far: int) -> None:
-        state["nodes"] += 1
-        if state["nodes"] > BRANCH_NODE_BUDGET:
-            state["exhausted"] = True
+        nonlocal nodes, exhausted, best, best_key
+        nodes += 1
+        if nodes > BRANCH_NODE_BUDGET:
+            exhausted = True
             return
         if left == 0:
             key = (cost_so_far, len(picked),
                    tuple(sorted(patterns[i] for i in picked)))
-            if key < state["best_key"]:
-                state["best_key"] = key
-                state["best"] = list(picked)
+            if key < best_key:
+                best_key = key
+                best = list(picked)
             return
-        if cost_so_far + 1 > state["best_key"][0]:
+        if cost_so_far + 1 > best_key[0]:
             return
-        pivot = min(bit_positions(left),
-                    key=lambda pos: (len(holders_by_pos[pos]), pos))
-        for i in holders_by_pos[pivot]:
-            if state["exhausted"]:
+        for i in holders_at[(left & -left).bit_length() - 1]:
+            if exhausted:
                 return
-            if cost_so_far + costs[i] > state["best_key"][0]:
+            if cost_so_far + costs[i] > best_key[0]:
                 continue
             picked.append(i)
-            branch(picked, left & ~cover_bits[i], cost_so_far + costs[i])
+            branch(picked, left & ~ranked[i], cost_so_far + costs[i])
             picked.pop()
 
-    branch(list(chosen), remaining, base_cost)
-    cover = sorted(set(state["best"]), key=lambda i: patterns[i])
-    return [primes[i] for i in cover], not state["exhausted"]
+    branch(list(chosen), (1 << len(order)) - 1, base_cost)
+    cover = sorted(set(best), key=lambda i: patterns[i])
+    return [primes[i] for i in cover], not exhausted
 
 
 # --- greedy path for wide codeword spaces ---

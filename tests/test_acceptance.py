@@ -349,7 +349,7 @@ def test_11_timing_budgets():
     started = time.perf_counter()
     gray_optimizer(Grid.regular(600, probs))
     go_s = time.perf_counter() - started
-    assert go_s < 60.0
+    assert go_s < 1.0
     budgets.append(f"GO n=600 {go_s:.1f}s")
 
     probs = [rng.random() for _ in range(50625)]
@@ -363,7 +363,7 @@ def test_11_timing_budgets():
     started = time.perf_counter()
     msgo(Grid.regular(4000, probs), depth=4, rng_seed=MASTER_SEED)
     msgo_s = time.perf_counter() - started
-    assert msgo_s < 1800.0
+    assert msgo_s < 1.0
     budgets.append(f"MSGO n=4000 depth 4 {msgo_s:.1f}s")
 
     report(11, "; ".join(budgets))

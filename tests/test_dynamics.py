@@ -9,8 +9,7 @@ import pytest
 from hvezones.dynamics import (ConvergenceError, StateSpace, TransitionMatrix,
                                UniformChain, build_q_independent,
                                build_q_independent_recursive, build_q_spatial,
-                               cell_marginals, damp, dump_distribution,
-                               dump_marginals, evolve, stationary_exact,
+                               cell_marginals, damp, evolve, stationary_exact,
                                stationary_monte_carlo)
 from hvezones.grid import Cell, Grid
 
@@ -326,18 +325,3 @@ def test_uniform_chain_step_and_wrap():
             continue
         nxt = chain.step(state, rng)
         assert bin(state ^ nxt).count("1") == 1
-
-
-def test_dump_formats():
-    import io
-    s = stationary_exact(build_q_independent(two_cell_grid()))
-    buf = io.StringIO()
-    dump_distribution(buf, s)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("0\t0.43")
-    buf = io.StringIO()
-    dump_marginals(buf, cell_marginals(s, StateSpace(2)))
-    lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("0\t0.22")
-    assert lines[1].startswith("1\t0.48")

@@ -6,12 +6,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hvezones import bench, tokens
+from hvezones.gray import bit_positions
 from hvezones.grid import Grid, GridEncoding
-from hvezones.tokens import (_greedy_pick, _prune_redundant, expand_implicant,
-                             greedy_cover, implicant_pattern, minimize,
-                             pairing_cost, pattern_implicant, write_token_set,
-                             zone_probability)
+from hvezones.optimizers import hge_baseline, msgo
+from hvezones.tokens import (_cover_bits, _greedy_pick, _prune_redundant,
+                             exact_cover, expand_implicant, greedy_cover,
+                             implicant_cost, implicant_pattern, minimize,
+                             pairing_cost, pattern_implicant, prime_implicants,
+                             write_token_set, zone_probability)
 
 
 def identity_encoding(n, k):
@@ -306,3 +312,202 @@ def test_prune_redundant_matches_union_rebuild():
             full &= rng.getrandbits(width)
         want = union_prune_redundant(chosen, cover_bits, costs, full, tie)
         assert _prune_redundant(chosen, cover_bits, costs, full, tie) == want
+
+
+def min_pivot_exact_cover(k, primes, minterms):
+    """Reference cover search: set-based reductions and a branch that takes
+    the pivot with `min` over the residue's positions at every node.  It
+    reads the node budget from the module, so patching it limits both."""
+    primes = sorted(primes, key=lambda p: (implicant_cost(p, k),
+                                           implicant_pattern(p, k)))
+    costs = [implicant_cost(p, k) for p in primes]
+    patterns = [implicant_pattern(p, k) for p in primes]
+    cover_bits = _cover_bits(primes, minterms)
+    full = (1 << len(minterms)) - 1
+    if costs and costs[0] == 0:
+        return [primes[0]], True
+
+    chosen = []
+    remaining = full
+    active = set(range(len(primes)))
+    changed = True
+    while changed and remaining:
+        changed = False
+        for pos in bit_positions(remaining):
+            if not remaining >> pos & 1:
+                continue
+            holders = [i for i in active if cover_bits[i] >> pos & 1]
+            if not holders:
+                raise ValueError("cover is infeasible")
+            if len(holders) == 1:
+                i = holders[0]
+                chosen.append(i)
+                remaining &= ~cover_bits[i]
+                active.discard(i)
+                changed = True
+        if not remaining:
+            break
+        live = sorted(active)
+        rem_cover = {i: cover_bits[i] & remaining for i in live}
+        for i in live:
+            ci = rem_cover[i]
+            if ci == 0:
+                active.discard(i)
+                changed = True
+                continue
+            for j in active:
+                if j == i or costs[j] > costs[i]:
+                    continue
+                cj = rem_cover[j]
+                if ci & ~cj:
+                    continue
+                if ci != cj or (costs[j], j) < (costs[i], i):
+                    active.discard(i)
+                    changed = True
+                    break
+        holder_mask = {}
+        for i in active:
+            for pos in bit_positions(cover_bits[i] & remaining):
+                holder_mask[pos] = holder_mask.get(pos, 0) | (1 << i)
+        positions = sorted(holder_mask)
+        for a in positions:
+            if not remaining >> a & 1:
+                continue
+            ha = holder_mask[a]
+            for b in positions:
+                if a == b or not remaining >> b & 1:
+                    continue
+                hb = holder_mask[b]
+                if hb & ~ha:
+                    continue
+                if hb != ha or b < a:
+                    remaining &= ~(1 << a)
+                    changed = True
+                    break
+
+    if not remaining:
+        return [primes[i] for i in sorted(set(chosen), key=lambda i: patterns[i])], True
+
+    base_cost = sum(costs[i] for i in chosen)
+    greedy = _greedy_pick(active, cover_bits, costs, remaining)
+    greedy = _prune_redundant(greedy, cover_bits, costs, remaining, patterns)
+    best = chosen + greedy
+    best_key = (sum(costs[i] for i in best), len(best),
+                tuple(sorted(patterns[i] for i in best)))
+    holders_by_pos = {
+        pos: sorted((i for i in active if cover_bits[i] >> pos & 1),
+                    key=lambda i: (costs[i], patterns[i]))
+        for pos in bit_positions(remaining)}
+    state = {"nodes": 0, "exhausted": False, "best": best, "best_key": best_key}
+
+    def branch(picked, left, cost_so_far):
+        state["nodes"] += 1
+        if state["nodes"] > tokens.BRANCH_NODE_BUDGET:
+            state["exhausted"] = True
+            return
+        if left == 0:
+            key = (cost_so_far, len(picked),
+                   tuple(sorted(patterns[i] for i in picked)))
+            if key < state["best_key"]:
+                state["best_key"] = key
+                state["best"] = list(picked)
+            return
+        if cost_so_far + 1 > state["best_key"][0]:
+            return
+        pivot = min(bit_positions(left),
+                    key=lambda pos: (len(holders_by_pos[pos]), pos))
+        for i in holders_by_pos[pivot]:
+            if state["exhausted"]:
+                return
+            if cost_so_far + costs[i] > state["best_key"][0]:
+                continue
+            picked.append(i)
+            branch(picked, left & ~cover_bits[i], cost_so_far + costs[i])
+            picked.pop()
+
+    branch(list(chosen), remaining, base_cost)
+    cover = sorted(set(state["best"]), key=lambda i: patterns[i])
+    return [primes[i] for i in cover], not state["exhausted"]
+
+
+@pytest.fixture(scope="module")
+def cover_instances():
+    """(k, primes, minterms) on the exact path: the golden HGE/256/6/0.6
+    cover, which exhausts the default budget; zones at 30% and 60% under
+    HGE and MSGO at n=256, with and without don't-cares; random encodings
+    at k <= 8."""
+    model = bench.SigmoidModel(a=0.75, b=10.0)
+    grid = Grid.regular(256, bench.gen_probabilities(
+        256, model, random.Random("golden/256/6/sigmoid")))
+    zone = bench.sample_zone(grid.probabilities(), 0.6, random.Random("golden/zone/256/6"))
+    enc = hge_baseline(grid)
+    minterms = {enc.value(c) for c in zone}
+    out = [(enc.k, prime_implicants(enc.k, minterms, set()), minterms)]
+    for seed in range(2):
+        rng = random.Random(f"oracle/{seed}")
+        grid = Grid.regular(256, bench.gen_probabilities(256, model, rng))
+        for enc in (hge_baseline(grid), msgo(grid, depth=4, rng_seed=seed)):
+            for fraction in (0.3, 0.6):
+                zone = bench.sample_zone(grid.probabilities(), fraction, rng)
+                for dummy in (False, True):
+                    minterms = {enc.value(c) for c in zone}
+                    dontcares = set(enc.dummies()) if dummy else set()
+                    out.append((enc.k, prime_implicants(enc.k, minterms, dontcares),
+                                minterms))
+    rng = random.Random(29)
+    while len(out) < 300:
+        k = rng.randrange(2, 9)
+        n = rng.randrange(2, (1 << k) + 1)
+        forward = rng.sample(range(1 << k), n)
+        zone = rng.sample(forward, rng.randrange(1, n + 1))
+        minterms = set(zone)
+        dontcares = set(range(1 << k)) - set(forward) if rng.random() < 0.5 else set()
+        out.append((k, prime_implicants(k, minterms, dontcares), minterms))
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 50, 500, 5000, tokens.BRANCH_NODE_BUDGET])
+def test_exact_cover_matches_min_pivot_search(budget, cover_instances, monkeypatch):
+    """The rank-ordered search visits the reference's nodes in the same
+    order: equal covers and certification at every node budget, including
+    budgets that stop the search part way through."""
+    monkeypatch.setattr(tokens, "BRANCH_NODE_BUDGET", budget)
+    uncertified = 0
+    for k, primes, minterms in cover_instances:
+        got = exact_cover(k, primes, minterms)
+        assert got == min_pivot_exact_cover(k, primes, minterms)
+        uncertified += not got[1]
+    assert uncertified > 0
+    if budget == tokens.BRANCH_NODE_BUDGET:
+        assert not exact_cover(*cover_instances[0])[1]
+
+
+@st.composite
+def cover_problems(draw):
+    """k, then each codeword drawn as a zone minterm, a don't-care (dummy)
+    or an off-zone cell, with at least one minterm."""
+    k = draw(st.integers(1, 6))
+    roles = draw(st.lists(st.sampled_from("mdo"), min_size=1 << k, max_size=1 << k))
+    roles[draw(st.integers(0, (1 << k) - 1))] = "m"
+    return k, roles
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_problems())
+def test_exact_path_cover_properties(problem):
+    """Every minterm is covered, nothing outside minterms and don't-cares
+    is reached, cost is the patterns' non-star bits, and at k <= 4 a
+    certified cover's cost is the brute-force minimum."""
+    k, roles = problem
+    minterms = {v for v, r in enumerate(roles) if r == "m"}
+    dontcares = {v for v, r in enumerate(roles) if r == "d"}
+    forward = tuple(v for v, r in enumerate(roles) if r != "d")
+    enc = GridEncoding(n=len(forward), k=k, forward=forward, algorithm="h")
+    zone = {c for c, v in enumerate(forward) if v in minterms}
+    ts = minimize(zone, enc, allow_dummy_cover=True)
+    reached = {v for p in ts.patterns for v in expand_implicant(pattern_implicant(p))}
+    assert reached == ts.covered
+    assert minterms <= reached <= minterms | dontcares
+    assert ts.cost == sum(len(p) - p.count("*") for p in ts.patterns)
+    if k <= 4 and ts.exact:
+        assert ts.cost == brute_force_min_cost(k, minterms, dontcares)
