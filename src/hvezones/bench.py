@@ -22,7 +22,10 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import FrozenSet, IO, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .dynamics import UniformChain
 from .grid import Grid, GridEncoding
@@ -32,6 +35,10 @@ from .optimizers import (Assignment, default_seed_cell, gray_optimizer,
 from .tokens import TokenSet, minimize, pairing_cost
 
 ALGORITHMS = ("GO", "MSGO", "SGO", "HGE", "RANDOM")
+
+# Walks whose end states are tallied per numpy pass in `predict_marginals`;
+# larger chunks buy little speed and hold more end-state bytes at once.
+MARGINAL_CHUNK = 1024
 
 CSV_HEADER = ("algorithm,n,depth,a,b,fraction,noise,trial,"
               "pairing_cost,baseline_cost,improvement_pct,wall_ms,seed")
@@ -378,27 +385,24 @@ def predict_marginals(n: int, start_state: int, chain: UniformChain,
                       rng: random.Random) -> List[float]:
     """Per-cell probability of being alerted at the end of one geometric
     evolution window, estimated from Monte Carlo walks off the observed
-    state."""
-    gains = [0] * n
-    losses = [0] * n
-    for _ in range(walks):
-        end = chain.walk_end(start_state, continue_prob, rng, alpha=alpha)
-        diff = end ^ start_state
-        while diff:
-            low = diff & -diff
-            j = low.bit_length() - 1
-            if start_state >> j & 1:
-                losses[j] += 1
-            else:
-                gains[j] += 1
-            diff ^= low
-    out = []
-    for j in range(n):
-        if start_state >> j & 1:
-            out.append((walks - losses[j]) / walks)
-        else:
-            out.append(gains[j] / walks)
-    return out
+    state.
+
+    End states stream from `chain.walk_ends` and are tallied per bit in
+    chunks of MARGINAL_CHUNK walks: each chunk's states become the rows of
+    a little-endian byte matrix whose unpacked bits are summed by column.
+    """
+    if walks < 1:
+        raise ValueError("walk count must be >= 1")
+    ends = chain.walk_ends(start_state, continue_prob, rng, alpha=alpha)
+    nbytes = (n + 7) // 8
+    ones = np.zeros(8 * nbytes, dtype=np.int64)
+    for done in range(0, walks, MARGINAL_CHUNK):
+        size = min(MARGINAL_CHUNK, walks - done)
+        raw = b"".join(e.to_bytes(nbytes, "little") for e in islice(ends, size))
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(size, nbytes)
+        ones += np.unpackbits(rows, axis=1, bitorder="little").sum(axis=0,
+                                                                   dtype=np.int64)
+    return (ones[:n] / walks).tolist()
 
 
 def run_dynamics(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
@@ -441,19 +445,17 @@ def run_dynamics(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
                     cfg.algorithm, grid.with_probabilities(marginals), cfg, trial)
                 rng_evolve = random.Random(
                     child_seed(cfg.seed, "evolve", trial, f"{fraction:.6f}"))
+                # an alert zone must be non-empty
+                evolved = (end for end in chain.walk_ends(
+                    start_state, cfg.continue_prob, rng_evolve) if end)
                 static_total = 0
                 dynamic_total = 0
-                produced = 0
-                while produced < cfg.dyn_zones:
-                    end = chain.walk_end(start_state, cfg.continue_prob, rng_evolve)
-                    if end == 0:
-                        continue  # an alert zone must be non-empty
+                for end in islice(evolved, cfg.dyn_zones):
                     zone = frozenset(j for j in range(cfg.n) if end >> j & 1)
                     static_total += pairing_cost(
                         minimize(zone, static_enc, allow_dummy_cover=cfg.dummy_cover))
                     dynamic_total += pairing_cost(
                         minimize(zone, dynamic_enc, allow_dummy_cover=cfg.dummy_cover))
-                    produced += 1
                 results.append(TrialResult(
                     algorithm=f"{cfg.algorithm}-dynamic", n=cfg.n,
                     depth=cfg.depth or 0, a=cfg.a, b=cfg.b,

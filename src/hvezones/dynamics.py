@@ -30,7 +30,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -339,10 +339,27 @@ class UniformChain:
                  alpha: float = 1.0) -> int:
         """End state of one geometric walk; with probability 1 - alpha a
         step jumps to a uniformly random state instead of flipping."""
-        state = start
-        while rng.random() < continue_prob:
-            if alpha < 1.0 and rng.random() >= alpha:
-                state = rng.getrandbits(self.n)
-            else:
-                state = self.step(state, rng)
-        return state
+        return next(self.walk_ends(start, continue_prob, rng, alpha))
+
+    def walk_ends(self, start: int, continue_prob: float, rng: random.Random,
+                  alpha: float = 1.0) -> Iterator[int]:
+        """End states of successive geometric walks, each one off `start`.
+
+        Every step draws the continue coin, then the jump coin only when
+        the chain is damped, then `getrandbits(n)` for a jump or
+        `randrange(n)` for a flip; the full->empty wrap draws nothing.  So
+        the stream equals that of repeated `walk_end` calls on one rng.
+        """
+        n, full = self.n, self.full
+        coin, randrange, getrandbits = rng.random, rng.randrange, rng.getrandbits
+        damped = alpha < 1.0
+        while True:
+            state = start
+            while coin() < continue_prob:
+                if damped and coin() >= alpha:
+                    state = getrandbits(n)
+                elif state == full:
+                    state = 0
+                else:
+                    state ^= 1 << randrange(n)
+            yield state

@@ -8,14 +8,15 @@ so each blob decodes standalone; this leaks the factorization, which is
 consistent with the reference group being deliberately insecure.
 
 Loaders reject, with WireError, truncated blobs, trailing bytes after the
-last field, non-ASCII strings, and tokens whose positions are not exactly
-their pattern's non-star positions in ascending order.
+last field, non-ASCII strings, key blobs whose group factors are not two
+distinct primes, and tokens whose positions are not exactly their
+pattern's non-star positions in ascending order.
 """
 
 from __future__ import annotations
 
 import io
-from .group import BilinearGroup, Element
+from .group import BilinearGroup, Element, GroupError
 from .hve import Ciphertext, HveToken, PublicKey, SecretKey, check_pattern
 
 VERSION = 1
@@ -56,6 +57,14 @@ def _write_element(buf: io.BytesIO, el: Element) -> None:
 
 def _read_element(buf: io.BytesIO) -> Element:
     return (_read_int(buf), _read_int(buf))
+
+
+def _read_group(buf: io.BytesIO) -> BilinearGroup:
+    p, q = _read_int(buf), _read_int(buf)
+    try:
+        return BilinearGroup(p, q)
+    except GroupError as exc:
+        raise WireError(str(exc)) from exc
 
 
 def _write_str(buf: io.BytesIO, s: str) -> None:
@@ -116,7 +125,7 @@ def dump_public_key(pk: PublicKey) -> bytes:
 def load_public_key(blob: bytes) -> PublicKey:
     buf = io.BytesIO(blob)
     _check_header(buf, TAG_PUBLIC_KEY)
-    group = BilinearGroup(_read_int(buf), _read_int(buf))
+    group = _read_group(buf)
     width = _read_int(buf)
     g_q = _read_element(buf)
     v_blinded = _read_element(buf)
@@ -151,7 +160,7 @@ def dump_secret_key(sk: SecretKey) -> bytes:
 def load_secret_key(blob: bytes) -> SecretKey:
     buf = io.BytesIO(blob)
     _check_header(buf, TAG_SECRET_KEY)
-    group = BilinearGroup(_read_int(buf), _read_int(buf))
+    group = _read_group(buf)
     width = _read_int(buf)
     g_q = _read_element(buf)
     a = _read_int(buf)

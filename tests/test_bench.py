@@ -7,8 +7,8 @@ import statistics
 
 import pytest
 
-from hvezones.bench import (ExperimentConfig, SigmoidModel, TrialResult,
-                            add_noise, child_seed, gen_probabilities,
+from hvezones.bench import (MARGINAL_CHUNK, ExperimentConfig, SigmoidModel,
+                            TrialResult, add_noise, child_seed, gen_probabilities,
                             predict_marginals, run_depth_sweep, run_dynamics,
                             run_experiment, run_timing, sample_zone,
                             spot_check, write_csv)
@@ -242,6 +242,57 @@ def test_predict_marginals_tracks_membership():
     assert outside < 0.15
     # short uniform evolution flips roughly continue/(1-continue) / n cells
     assert inside - (1 - outside) == pytest.approx(0.0, abs=0.05)
+    with pytest.raises(ValueError):
+        predict_marginals(12, start, chain, walks=0, continue_prob=0.6,
+                          alpha=1.0, rng=random.Random(2))
+
+
+def reference_walk_end(chain, start, continue_prob, rng, alpha=1.0):
+    """One walk drawn call by call through `rng`, as the walks were first
+    written: the oracle for the streamed walks."""
+    state = start
+    while rng.random() < continue_prob:
+        if alpha < 1.0 and rng.random() >= alpha:
+            state = rng.getrandbits(chain.n)
+        else:
+            state = chain.step(state, rng)
+    return state
+
+
+def reference_predict_marginals(n, start_state, chain, walks, continue_prob,
+                                alpha, rng):
+    """Per-bit gain and loss tallies of one walk at a time."""
+    gains = [0] * n
+    losses = [0] * n
+    for _ in range(walks):
+        end = reference_walk_end(chain, start_state, continue_prob, rng, alpha)
+        diff = end ^ start_state
+        while diff:
+            low = diff & -diff
+            j = low.bit_length() - 1
+            if start_state >> j & 1:
+                losses[j] += 1
+            else:
+                gains[j] += 1
+            diff ^= low
+    return [(walks - losses[j]) / walks if start_state >> j & 1
+            else gains[j] / walks for j in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 100])
+def test_predict_marginals_equals_per_walk_tallies(n):
+    chain = UniformChain(n)
+    starts = (0, chain.full, random.Random(n).getrandbits(n))
+    walk_counts = (1, MARGINAL_CHUNK - 1, MARGINAL_CHUNK, MARGINAL_CHUNK + 1, 20_000)
+    for start in starts:
+        for alpha in (1.0, 0.85):
+            for walks in walk_counts:
+                seed = child_seed(n, start, alpha, walks)
+                expected = reference_predict_marginals(
+                    n, start, chain, walks, 0.6, alpha, random.Random(seed))
+                got = predict_marginals(n, start, chain, walks, 0.6, alpha,
+                                        random.Random(seed))
+                assert got == expected, (start, alpha, walks)
 
 
 def test_run_dynamics_structure():

@@ -1,5 +1,6 @@
 """Markov model: worked matrices, stationary vectors, Monte Carlo, marginals."""
 
+import itertools
 import math
 import random
 
@@ -325,3 +326,17 @@ def test_uniform_chain_step_and_wrap():
             continue
         nxt = chain.step(state, rng)
         assert bin(state ^ nxt).count("1") == 1
+
+
+@pytest.mark.parametrize("n,alpha", [(1, 1.0), (2, 1.0), (2, 0.3), (5, 0.85),
+                                     (64, 1.0), (100, 0.85)])
+def test_walk_ends_stream_equals_walk_end_calls(n, alpha):
+    chain = UniformChain(n)
+    for start in (0, chain.full, random.Random(n).getrandbits(n)):
+        calls_rng, stream_rng = random.Random(9), random.Random(9)
+        calls = [chain.walk_end(start, 0.9, calls_rng, alpha=alpha)
+                 for _ in range(500)]
+        stream = list(itertools.islice(
+            chain.walk_ends(start, 0.9, stream_rng, alpha=alpha), 500))
+        assert calls == stream
+        assert calls_rng.getstate() == stream_rng.getstate()

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvezones import wire
 from hvezones.hve import HveToken, MessageSpace, encrypt, gen_token, setup
@@ -96,3 +98,44 @@ def test_non_ascii_string_rejected():
     at = blob.index(b"01*0")
     with pytest.raises(wire.WireError):
         wire.load_token(blob[:at] + b"\xc3" + blob[at + 1:])
+
+
+@st.composite
+def wire_objects(draw):
+    """A key, ciphertext or token of width 1-16 with its loader and blob."""
+    width = draw(st.integers(1, 16))
+    pk, sk = setup(width, seed=draw(st.integers(0, 2**16)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["public_key", "secret_key", "ciphertext", "token"]))
+    if kind == "public_key":
+        return wire.load_public_key, pk, wire.dump_public_key(pk)
+    if kind == "secret_key":
+        return wire.load_secret_key, sk, wire.dump_secret_key(sk)
+    if kind == "ciphertext":
+        attribute = draw(st.text("01", min_size=width, max_size=width))
+        message = MessageSpace(pk.group, [1], seed=0).element(1)
+        c = encrypt(pk, attribute, message, rng)
+        return wire.load_ciphertext, c, wire.dump_ciphertext(c)
+    pattern = draw(st.text("01*", min_size=width, max_size=width))
+    t = gen_token(sk, pattern, rng)
+    return wire.load_token, t, wire.dump_token(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wire_objects(), st.integers(0, 255), st.integers(1, 255))
+def test_blob_round_trip_and_corruption_properties(case, extra, mask):
+    load, obj, blob = case
+    assert load(blob) == obj
+    for end in range(len(blob)):
+        with pytest.raises(wire.WireError):
+            load(blob[:end])
+    with pytest.raises(wire.WireError):
+        load(blob + bytes([extra]))
+    # every position edited once: the blob still loads or is a WireError,
+    # never another exception
+    for at in range(len(blob)):
+        edited = blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+        try:
+            load(edited)
+        except wire.WireError:
+            pass
