@@ -7,8 +7,6 @@ dynamically evolving zones.
 """
 
 from .group import BilinearGroup, GroupError
-from .gray import (BrgCycle, Codeword, brg_path, codeword, complete_cycle,
-                   cycle_to_token, distance_ring, hamming, token_to_cycle)
 from .grid import Cell, Grid, GridEncoding, read_encoding, write_encoding
 from .hve import (Ciphertext, HveToken, MessageSpace, PublicKey, QueryResult,
                   SecretKey, encrypt, gen_token, query, setup)

@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import FrozenSet, IO, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, IO, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,22 +250,38 @@ def spot_check(cfg: ExperimentConfig, trial: int, grid: Grid,
             raise AssertionError("token match disagrees with zone membership")
 
 
-def run_experiment(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
-    """Optimizer-versus-baseline comparison across the alert-fraction sweep.
+def _run_trials(cfg: ExperimentConfig, body: Callable[..., List[TrialResult]]
+                ) -> Tuple[List[TrialResult], List[str]]:
+    """The trial loop every runner shares.
 
-    Noise, when requested, perturbs only the probabilities fed to the
-    optimizer; zones are always drawn from the true probabilities.  Trial
-    failures are isolated and reported in the second return value, except
-    a failed verification (AssertionError from `spot_check`), which aborts
-    the run.
+    Each trial draws its probabilities from its own stream, lays out the
+    regular grid and calls `body(trial, probs, grid, candidate)`, where
+    `candidate(enc, zone)` is the pairing cost of a candidate-side cover;
+    when cfg.verify is set the trial's first such cover is spot-checked.
+    A trial contributes all of its rows or none.  Failures are isolated
+    and reported in the second return value, except a failed verification
+    (AssertionError from `spot_check`), which aborts the run.
     """
     cfg.validate()
     model = SigmoidModel(cfg.a, cfg.b)
     results: List[TrialResult] = []
     failures: List[str] = []
     for trial in range(cfg.trials):
+        checked = not cfg.verify
+
+        def candidate(enc: GridEncoding, zone: FrozenSet[int]) -> int:
+            nonlocal checked
+            ts = minimize(zone, enc, allow_dummy_cover=cfg.dummy_cover)
+            if not checked:
+                spot_check(cfg, trial, grid, enc, zone, ts)
+                checked = True
+            return pairing_cost(ts)
+
         try:
-            results.extend(_run_one_trial(cfg, model, trial))
+            rng_probs = random.Random(child_seed(cfg.seed, "probs", trial))
+            probs = gen_probabilities(cfg.n, model, rng_probs)
+            grid = Grid.regular(cfg.n, probs)
+            results.extend(body(trial, probs, grid, candidate))
         except AssertionError as exc:
             raise AssertionError(f"trial {trial}: {exc}") from exc
         except Exception as exc:  # noqa: BLE001 - trial isolation is the contract
@@ -273,82 +289,75 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]
     return results, failures
 
 
-def _run_one_trial(cfg: ExperimentConfig, model: SigmoidModel,
-                   trial: int) -> List[TrialResult]:
-    rng_probs = random.Random(child_seed(cfg.seed, "probs", trial))
-    true_probs = gen_probabilities(cfg.n, model, rng_probs)
-    grid = Grid.regular(cfg.n, true_probs)
-    optimizer_probs = true_probs
-    if cfg.noise > 0.0:
-        rng_noise = random.Random(child_seed(cfg.seed, "noise", trial))
-        optimizer_probs = add_noise(true_probs, cfg.noise, rng_noise)
-    enc = build_encoding(cfg.algorithm, grid.with_probabilities(optimizer_probs),
-                         cfg, trial)
-    baseline = hge_baseline(grid)
-    rows: List[TrialResult] = []
-    checked = False
-    for fraction in cfg.fractions:
-        rng_zone = random.Random(child_seed(cfg.seed, "zone", trial, f"{fraction:.6f}"))
-        zone = sample_zone(true_probs, fraction, rng_zone, uniform=cfg.uniform_zones)
-        ts = minimize(zone, enc, allow_dummy_cover=cfg.dummy_cover)
-        ts_base = minimize(zone, baseline, allow_dummy_cover=cfg.dummy_cover)
-        cost = pairing_cost(ts)
-        base_cost = pairing_cost(ts_base)
-        if cfg.verify and not checked:
-            spot_check(cfg, trial, grid, enc, zone, ts)
-            checked = True
-        rows.append(TrialResult(
-            algorithm=cfg.algorithm, n=cfg.n,
-            depth=cfg.depth or 0, a=cfg.a, b=cfg.b,
-            fraction=fraction, noise=cfg.noise, trial=trial,
-            pairing_cost=cost, baseline_cost=base_cost,
-            improvement_pct=(base_cost - cost) / base_cost * 100.0,
-            wall_ms=0.0,
-            seed=cfg.seed,
-        ))
-    return rows
+def _zone(cfg: ExperimentConfig, probs: Sequence[float], trial: int,
+          fraction: float, uniform: bool) -> FrozenSet[int]:
+    rng = random.Random(child_seed(cfg.seed, "zone", trial, f"{fraction:.6f}"))
+    return sample_zone(probs, fraction, rng, uniform=uniform)
+
+
+def _cost(cfg: ExperimentConfig, enc: GridEncoding, zone: FrozenSet[int]) -> int:
+    return pairing_cost(minimize(zone, enc, allow_dummy_cover=cfg.dummy_cover))
+
+
+def _row(cfg: ExperimentConfig, trial: int, fraction: float, cost: int,
+         base_cost: int, algorithm: Optional[str] = None,
+         depth: Optional[int] = None, wall_ms: float = 0.0,
+         improvement_pct: Optional[float] = None) -> TrialResult:
+    if improvement_pct is None:
+        improvement_pct = (base_cost - cost) / base_cost * 100.0
+    return TrialResult(
+        algorithm=algorithm or cfg.algorithm, n=cfg.n,
+        depth=cfg.depth or 0 if depth is None else depth, a=cfg.a, b=cfg.b,
+        fraction=fraction, noise=cfg.noise, trial=trial,
+        pairing_cost=cost, baseline_cost=base_cost,
+        improvement_pct=improvement_pct, wall_ms=wall_ms, seed=cfg.seed)
+
+
+def run_experiment(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
+    """Optimizer-versus-baseline comparison across the alert-fraction sweep.
+
+    Noise, when requested, perturbs only the probabilities fed to the
+    optimizer; zones are always drawn from the true probabilities.
+    """
+    def body(trial, probs, grid, candidate):
+        optimizer_probs = probs
+        if cfg.noise > 0.0:
+            rng_noise = random.Random(child_seed(cfg.seed, "noise", trial))
+            optimizer_probs = add_noise(probs, cfg.noise, rng_noise)
+        enc = build_encoding(cfg.algorithm, grid.with_probabilities(optimizer_probs),
+                             cfg, trial)
+        baseline = hge_baseline(grid)
+        rows = []
+        for fraction in cfg.fractions:
+            zone = _zone(cfg, probs, trial, fraction, cfg.uniform_zones)
+            rows.append(_row(cfg, trial, fraction, candidate(enc, zone),
+                             _cost(cfg, baseline, zone)))
+        return rows
+    return _run_trials(cfg, body)
 
 
 def run_depth_sweep(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
     """Improvement as a function of pass depth: one seeded pass at each
     depth, every remaining cell assigned uniformly at random, zones shared
     across depths."""
-    cfg.validate()
-    model = SigmoidModel(cfg.a, cfg.b)
-    results: List[TrialResult] = []
-    failures: List[str] = []
-    for trial in range(cfg.trials):
-        try:
-            rng_probs = random.Random(child_seed(cfg.seed, "probs", trial))
-            probs = gen_probabilities(cfg.n, model, rng_probs)
-            grid = Grid.regular(cfg.n, probs)
-            baseline = hge_baseline(grid)
-            zones = {}
-            for fraction in cfg.fractions:
-                rng_zone = random.Random(
-                    child_seed(cfg.seed, "zone", trial, f"{fraction:.6f}"))
-                zones[fraction] = sample_zone(probs, fraction, rng_zone,
-                                              uniform=cfg.uniform_zones)
-            for depth in range(1, grid.k + 1):
-                state = Assignment(grid)
-                state.assign(default_seed_cell(grid), 0)
-                state.go_pass(0, depth)
-                state.complete_random(
-                    random.Random(child_seed(cfg.seed, "fill", trial, depth)))
-                enc = state.to_encoding("GO")
-                for fraction, zone in zones.items():
-                    ts = minimize(zone, enc, allow_dummy_cover=cfg.dummy_cover)
-                    ts_base = minimize(zone, baseline, allow_dummy_cover=cfg.dummy_cover)
-                    cost, base_cost = pairing_cost(ts), pairing_cost(ts_base)
-                    results.append(TrialResult(
-                        algorithm="GO", n=cfg.n, depth=depth, a=cfg.a, b=cfg.b,
-                        fraction=fraction, noise=cfg.noise, trial=trial,
-                        pairing_cost=cost, baseline_cost=base_cost,
-                        improvement_pct=(base_cost - cost) / base_cost * 100.0,
-                        wall_ms=0.0, seed=cfg.seed))
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"trial {trial}: {exc}")
-    return results, failures
+    def body(trial, probs, grid, candidate):
+        baseline = hge_baseline(grid)
+        zones = {fraction: _zone(cfg, probs, trial, fraction, cfg.uniform_zones)
+                 for fraction in cfg.fractions}
+        rows = []
+        for depth in range(1, grid.k + 1):
+            state = Assignment(grid)
+            state.assign(default_seed_cell(grid), 0)
+            state.go_pass(0, depth)
+            state.complete_random(
+                random.Random(child_seed(cfg.seed, "fill", trial, depth)))
+            enc = state.to_encoding("GO")
+            for fraction, zone in zones.items():
+                rows.append(_row(cfg, trial, fraction, candidate(enc, zone),
+                                 _cost(cfg, baseline, zone),
+                                 algorithm="GO", depth=depth))
+        return rows
+    return _run_trials(cfg, body)
 
 
 def run_timing(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
@@ -358,26 +367,13 @@ def run_timing(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
     wall_ms carries real measurements, reported rather than asserted.  The
     other runners emit wall_ms = 0.0 so their outputs reproduce exactly.
     """
-    cfg.validate()
-    model = SigmoidModel(cfg.a, cfg.b)
-    results: List[TrialResult] = []
-    failures: List[str] = []
-    for trial in range(cfg.trials):
-        try:
-            rng_probs = random.Random(child_seed(cfg.seed, "probs", trial))
-            probs = gen_probabilities(cfg.n, model, rng_probs)
-            grid = Grid.regular(cfg.n, probs)
-            started = time.perf_counter()
-            build_encoding(cfg.algorithm, grid, cfg, trial)
-            wall = (time.perf_counter() - started) * 1000.0
-            results.append(TrialResult(
-                algorithm=cfg.algorithm, n=cfg.n, depth=cfg.depth or 0,
-                a=cfg.a, b=cfg.b, fraction=cfg.fractions[0], noise=cfg.noise,
-                trial=trial, pairing_cost=0, baseline_cost=0,
-                improvement_pct=0.0, wall_ms=wall, seed=cfg.seed))
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"trial {trial}: {exc}")
-    return results, failures
+    def body(trial, probs, grid, candidate):
+        started = time.perf_counter()
+        build_encoding(cfg.algorithm, grid, cfg, trial)
+        wall = (time.perf_counter() - started) * 1000.0
+        return [_row(cfg, trial, cfg.fractions[0], 0, 0, wall_ms=wall,
+                     improvement_pct=0.0)]
+    return _run_trials(cfg, body)
 
 
 def predict_marginals(n: int, start_state: int, chain: UniformChain,
@@ -420,51 +416,32 @@ def run_dynamics(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
     zone from those same probabilities would leak the current state into
     the static side and measure nothing about tracking evolution.
     """
-    cfg.validate()
-    model = SigmoidModel(cfg.a, cfg.b)
-    chain = UniformChain(cfg.n)
-    results: List[TrialResult] = []
-    failures: List[str] = []
-    for trial in range(cfg.trials):
-        try:
-            rng_probs = random.Random(child_seed(cfg.seed, "probs", trial))
-            probs = gen_probabilities(cfg.n, model, rng_probs)
-            grid = Grid.regular(cfg.n, probs)
-            static_enc = build_encoding(cfg.algorithm, grid, cfg, trial)
-            for fraction in cfg.fractions:
-                rng_zone = random.Random(
-                    child_seed(cfg.seed, "zone", trial, f"{fraction:.6f}"))
-                initial = sample_zone(probs, fraction, rng_zone, uniform=True)
-                start_state = sum(1 << c for c in initial)
-                rng_pred = random.Random(
-                    child_seed(cfg.seed, "predict", trial, f"{fraction:.6f}"))
-                marginals = predict_marginals(
-                    cfg.n, start_state, chain, cfg.walks, cfg.continue_prob,
-                    cfg.alpha, rng_pred)
-                dynamic_enc = build_encoding(
-                    cfg.algorithm, grid.with_probabilities(marginals), cfg, trial)
-                rng_evolve = random.Random(
-                    child_seed(cfg.seed, "evolve", trial, f"{fraction:.6f}"))
-                # an alert zone must be non-empty
-                evolved = (end for end in chain.walk_ends(
-                    start_state, cfg.continue_prob, rng_evolve) if end)
-                static_total = 0
-                dynamic_total = 0
-                for end in islice(evolved, cfg.dyn_zones):
-                    zone = frozenset(j for j in range(cfg.n) if end >> j & 1)
-                    static_total += pairing_cost(
-                        minimize(zone, static_enc, allow_dummy_cover=cfg.dummy_cover))
-                    dynamic_total += pairing_cost(
-                        minimize(zone, dynamic_enc, allow_dummy_cover=cfg.dummy_cover))
-                results.append(TrialResult(
-                    algorithm=f"{cfg.algorithm}-dynamic", n=cfg.n,
-                    depth=cfg.depth or 0, a=cfg.a, b=cfg.b,
-                    fraction=fraction, noise=cfg.noise, trial=trial,
-                    pairing_cost=dynamic_total, baseline_cost=static_total,
-                    improvement_pct=(static_total - dynamic_total)
-                                     / static_total * 100.0,
-                    wall_ms=0.0,
-                    seed=cfg.seed))
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"trial {trial}: {exc}")
-    return results, failures
+    def body(trial, probs, grid, candidate):
+        chain = UniformChain(cfg.n)
+        static_enc = build_encoding(cfg.algorithm, grid, cfg, trial)
+        rows = []
+        for fraction in cfg.fractions:
+            initial = _zone(cfg, probs, trial, fraction, uniform=True)
+            start_state = sum(1 << c for c in initial)
+            rng_pred = random.Random(
+                child_seed(cfg.seed, "predict", trial, f"{fraction:.6f}"))
+            marginals = predict_marginals(
+                cfg.n, start_state, chain, cfg.walks, cfg.continue_prob,
+                cfg.alpha, rng_pred)
+            dynamic_enc = build_encoding(
+                cfg.algorithm, grid.with_probabilities(marginals), cfg, trial)
+            rng_evolve = random.Random(
+                child_seed(cfg.seed, "evolve", trial, f"{fraction:.6f}"))
+            # an alert zone must be non-empty
+            evolved = (end for end in chain.walk_ends(
+                start_state, cfg.continue_prob, rng_evolve) if end)
+            static_total = 0
+            dynamic_total = 0
+            for end in islice(evolved, cfg.dyn_zones):
+                zone = frozenset(j for j in range(cfg.n) if end >> j & 1)
+                static_total += _cost(cfg, static_enc, zone)
+                dynamic_total += candidate(dynamic_enc, zone)
+            rows.append(_row(cfg, trial, fraction, dynamic_total, static_total,
+                             algorithm=f"{cfg.algorithm}-dynamic"))
+        return rows
+    return _run_trials(cfg, body)

@@ -2,8 +2,10 @@
 
 Subcommands: encode, tokens, benchmark, depth-sweep, timing, dynamics,
 hve-demo.  Experiment subcommands read an optional config file of
-`key = value` lines (# starts a comment) whose keys mirror the
-ExperimentConfig fields; command-line flags override file values.  CSV
+`key = value` lines (# starts a comment); command-line flags override
+file values.  Config keys and flags both come from the ExperimentConfig
+fields, each parsed from text by its type: `n = 64` is `--n 64`,
+`continue_prob` is `--continue-prob`, and a bool field is a switch.  CSV
 goes to stdout unless --out is given.  Exit status is 0 on success, 2
 with a diagnostic line on a configuration error, and 1 with a diagnostic
 line when a trial's verification fails or every trial fails.
@@ -12,10 +14,11 @@ line when a trial's verification fails or every trial fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import random
 import sys
-from typing import Dict, List, Optional
+from typing import IO, Dict, Iterator, List, Optional, Tuple, get_type_hints
 
 from . import bench
 from .bench import ExperimentConfig, SigmoidModel, child_seed
@@ -23,18 +26,40 @@ from .grid import Grid, read_encoding, write_encoding
 from .hve import MessageSpace, encrypt, gen_token, query, setup
 from .tokens import minimize, pairing_cost, write_token_set
 
-_BOOL_KEYS = {"uniform_zones", "verify", "dummy_cover"}
-_INT_KEYS = {"n", "depth", "trials", "seed", "walks", "dyn_zones"}
-_FLOAT_KEYS = {"a", "b", "noise", "alpha", "continue_prob"}
-
 
 class ConfigError(ValueError):
     pass
 
 
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_fractions(text: str) -> Tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+_PARSERS = {int: int, Optional[int]: int, float: float, str: str,
+            bool: _parse_bool, Tuple[float, ...]: _parse_fractions}
+
+# ExperimentConfig field -> parser of its text form, for config files and flags
+CONFIG_FIELDS = {name: _PARSERS[hint]
+                 for name, hint in get_type_hints(ExperimentConfig).items()}
+CONFIG_FIELDS["algorithm"] = str.upper
+
+_HELP = {
+    "algorithm": "one of " + ", ".join(bench.ALGORITHMS),
+    "fractions": "comma-separated alert fractions",
+    "dummy_cover": "let benchmark tokens cover dummy codewords",
+}
+
+
 def parse_config_file(path: str) -> Dict[str, object]:
     values: Dict[str, object] = {}
-    field_names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     with open(path, encoding="utf-8") as fp:
         for lineno, raw in enumerate(fp, 1):
             line = raw.split("#", 1)[0].strip()
@@ -43,69 +68,48 @@ def parse_config_file(path: str) -> Dict[str, object]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in field_names:
+            if key not in CONFIG_FIELDS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _parse_value(key, text)
+                values[key] = CONFIG_FIELDS[key](text)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
-def _parse_value(key: str, text: str) -> object:
-    if key == "fractions":
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    if key == "algorithm":
-        return text.upper()
-    if key in _BOOL_KEYS:
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    raise ValueError(f"unsupported key {key!r}")
-
-
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Config file values, overridden by the flags given; flags arrive as
+    text and go through the same parsers as config-file values."""
     values: Dict[str, object] = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for key in ("n", "algorithm", "depth", "a", "b", "noise", "trials", "seed",
-                "alpha", "continue_prob", "walks", "dyn_zones"):
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            values[key] = flag
-    if getattr(args, "fractions", None):
-        values["fractions"] = tuple(
-            float(part) for part in args.fractions.split(","))
-    if getattr(args, "uniform_zones", False):
-        values["uniform_zones"] = True
-    if getattr(args, "dummy_cover", False):
-        values["dummy_cover"] = True
-    if getattr(args, "no_verify", False):
-        values["verify"] = False
+    for key, parse in CONFIG_FIELDS.items():
+        text = getattr(args, key, None)
+        if text is None:
+            continue
+        try:
+            values[key] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
 
 
-def _open_out(args: argparse.Namespace):
+@contextlib.contextmanager
+def _output(args: argparse.Namespace) -> Iterator[IO[str]]:
     if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+        with open(args.out, "w", encoding="utf-8") as fp:
+            yield fp
+    else:
+        yield sys.stdout
 
 
-def _emit(args: argparse.Namespace, results, failures: List[str]) -> int:
-    out = _open_out(args)
-    try:
+def cmd_run(args: argparse.Namespace) -> int:
+    """Run one experiment runner and write its CSV."""
+    results, failures = args.runner(make_config(args))
+    with _output(args) as out:
         bench.write_csv(out, results)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     for failure in failures:
         print(f"warning: {failure}", file=sys.stderr)
     if failures and not results:
@@ -120,12 +124,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
     probs = bench.gen_probabilities(cfg.n, SigmoidModel(cfg.a, cfg.b), rng)
     grid = Grid.regular(cfg.n, probs)
     enc = bench.build_encoding(cfg.algorithm, grid, cfg, trial=0)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         write_encoding(out, enc, params=f"depth={cfg.depth or '-'}", seed=cfg.seed)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -143,13 +143,9 @@ def cmd_tokens(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("tokens needs --cells or --fraction")
     ts = minimize(zone, enc, allow_dummy_cover=not args.no_dummy_cover)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         write_token_set(out, ts, zone_size=len(zone), encoder=enc.algorithm)
         out.write(f"# pairing_cost={pairing_cost(ts)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -178,50 +174,20 @@ def cmd_hve_demo(args: argparse.Namespace) -> int:
     return 0 if roundtrip_ok else 1
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    cfg = make_config(args)
-    results, failures = bench.run_experiment(cfg)
-    return _emit(args, results, failures)
-
-
-def cmd_depth_sweep(args: argparse.Namespace) -> int:
-    cfg = make_config(args)
-    results, failures = bench.run_depth_sweep(cfg)
-    return _emit(args, results, failures)
-
-
-def cmd_timing(args: argparse.Namespace) -> int:
-    cfg = make_config(args)
-    results, failures = bench.run_timing(cfg)
-    return _emit(args, results, failures)
-
-
-def cmd_dynamics(args: argparse.Namespace) -> int:
-    cfg = make_config(args)
-    results, failures = bench.run_dynamics(cfg)
-    return _emit(args, results, failures)
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per ExperimentConfig field: `--<name>` taking a value, or a
+    switch for a bool field, `--<name>` when it defaults to False and
+    `--no-<name>` when it defaults to True."""
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--algorithm", type=str.upper,
-                        choices=list(bench.ALGORITHMS))
-    parser.add_argument("--depth", type=int)
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--b", type=float)
-    parser.add_argument("--fractions", help="comma-separated alert fractions")
-    parser.add_argument("--noise", type=float)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--continue-prob", type=float, dest="continue_prob")
-    parser.add_argument("--walks", type=int)
-    parser.add_argument("--dyn-zones", type=int, dest="dyn_zones")
-    parser.add_argument("--uniform-zones", action="store_true", dest="uniform_zones")
-    parser.add_argument("--dummy-cover", action="store_true", dest="dummy_cover",
-                        help="let benchmark tokens cover dummy codewords")
-    parser.add_argument("--no-verify", action="store_true", dest="no_verify")
+    for field in dataclasses.fields(ExperimentConfig):
+        flag = field.name.replace("_", "-")
+        help_text = _HELP.get(field.name)
+        if CONFIG_FIELDS[field.name] is _parse_bool:
+            parser.add_argument(f"--no-{flag}" if field.default else f"--{flag}",
+                                action="store_const", const=str(not field.default),
+                                dest=field.name, help=help_text)
+        else:
+            parser.add_argument(f"--{flag}", dest=field.name, help=help_text)
     parser.add_argument("--out", help="write output to a file instead of stdout")
 
 
@@ -250,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_hve_demo)
 
-    for name, func, help_text in (
-            ("benchmark", cmd_benchmark, "optimizer vs baseline sweep"),
-            ("depth-sweep", cmd_depth_sweep, "improvement vs pass depth"),
-            ("timing", cmd_timing, "encoding wall times"),
-            ("dynamics", cmd_dynamics, "static vs dynamic encodings")):
+    for name, runner, help_text in (
+            ("benchmark", bench.run_experiment, "optimizer vs baseline sweep"),
+            ("depth-sweep", bench.run_depth_sweep, "improvement vs pass depth"),
+            ("timing", bench.run_timing, "encoding wall times"),
+            ("dynamics", bench.run_dynamics, "static vs dynamic encodings")):
         p = sub.add_parser(name, help=help_text)
         _add_config_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_run, runner=runner)
     return parser
 
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, IO, List, Optional, Sequence, Tuple
 
-from .gray import Codeword
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -114,9 +112,6 @@ class GridEncoding:
     def space(self) -> int:
         return 1 << self.k
 
-    def codeword(self, cell_id: int) -> Codeword:
-        return Codeword(self.forward[cell_id], self.k)
-
     def value(self, cell_id: int) -> int:
         return self.forward[cell_id]
 
@@ -133,12 +128,30 @@ class GridEncoding:
         return self.space - self.n
 
 
+def quadtree_levels(n: int) -> int:
+    """Depth of the smallest quadtree with a leaf for each of n cells; at
+    two bits a level, the widest encoding of a regular grid (HGE's)."""
+    return max(1, math.ceil(math.log(n, 4)))
+
+
+def _check_file_width(n: int, k: int) -> None:
+    """Encoding files hold widths up to a regular grid's HGE width, so a
+    reader never sizes a 2^k dummy list from an unchecked header."""
+    widest = 2 * quadtree_levels(n)
+    if k > widest:
+        raise ValueError(f"encoding width k={k} exceeds {widest}, "
+                         f"the widest encoding file of {n} cells")
+
+
 def write_encoding(fp: IO[str], enc: GridEncoding, params: str = "", seed: Optional[int] = None) -> None:
-    """One record per line: cell id, TAB, msb-first codeword."""
+    """One record per line: cell id, TAB, msb-first codeword.  Widths
+    beyond `quadtree_levels(n)` two-bit levels raise ValueError before
+    anything is written."""
+    _check_file_width(enc.n, enc.k)
     fp.write(f"# n={enc.n} k={enc.k} algorithm={enc.algorithm}"
              f" params={params or '-'} seed={'-' if seed is None else seed}\n")
-    for cell_id in range(enc.n):
-        fp.write(f"{cell_id}\t{enc.codeword(cell_id)}\n")
+    for cell_id, value in enumerate(enc.forward):
+        fp.write(f"{cell_id}\t{value:0{enc.k}b}\n")
 
 
 def read_encoding(fp: IO[str]) -> GridEncoding:
@@ -155,6 +168,7 @@ def read_encoding(fp: IO[str]) -> GridEncoding:
         meta[key] = value
     n = _header_int(meta, "n")
     k = _header_int(meta, "k")
+    _check_file_width(n, k)
     forward: Dict[int, int] = {}
     for lineno, line in enumerate(fp, start=2):
         if not line.strip():

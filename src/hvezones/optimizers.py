@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .gray import cycle_node_values, ring_values
-from .grid import Cell, Grid, GridEncoding
+from .grid import Cell, Grid, GridEncoding, quadtree_levels
 
 
 # Cells labelled per array pass in the hierarchical baseline: whole-grid
@@ -341,7 +341,7 @@ def hge_baseline(grid: Grid) -> GridEncoding:
     of four are padded to full levels, so the width can exceed the minimal
     ceil(log2 n); the tree deepens if distinct cells ever share a leaf.
     """
-    levels = max(1, math.ceil(math.log(grid.n, 4))) if grid.n > 1 else 1
+    levels = quadtree_levels(grid.n)
     while levels <= 24:
         leaves = []
         for start in range(0, grid.n, HGE_CHUNK):

@@ -233,10 +233,13 @@ def exact_cover(k: int, primes: List[Implicant],
     pattern list.  Returns (cover, certified); certified is False only if
     the branch-and-bound budget ran out and the incumbent was kept.
     """
-    primes = sorted(primes, key=lambda p: (implicant_cost(p, k),
-                                           implicant_pattern(p, k)))
-    costs = [implicant_cost(p, k) for p in primes]
-    patterns = [implicant_pattern(p, k) for p in primes]
+    # patterns are unique, so sorting (cost, pattern, prime) never
+    # compares primes
+    keyed = sorted((implicant_cost(p, k), implicant_pattern(p, k), p)
+                   for p in primes)
+    costs = [cost for cost, _, _ in keyed]
+    patterns = [pattern for _, pattern, _ in keyed]
+    primes = [p for _, _, p in keyed]
     cover_bits = _cover_bits(primes, minterms)
     full = (1 << len(minterms)) - 1
 

@@ -307,3 +307,28 @@ def test_run_dynamics_structure():
     again, _ = run_dynamics(cfg)
     assert [(r.pairing_cost, r.baseline_cost) for r in rows] == \
         [(r.pairing_cost, r.baseline_cost) for r in again]
+
+
+@pytest.mark.parametrize("runner,calls_per_fraction", [
+    (run_experiment, 2), (run_depth_sweep, 2), (run_dynamics, 6)])
+def test_failing_trial_contributes_no_rows(monkeypatch, runner, calls_per_fraction):
+    """A trial that fails after its first fraction leaves no rows behind;
+    the other trials still report theirs."""
+    from hvezones import bench
+
+    real_minimize = bench.minimize
+    calls = 0
+
+    def failing_minimize(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == calls_per_fraction + 1:  # trial 0, second fraction
+            raise RuntimeError("injected failure")
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "minimize", failing_minimize)
+    cfg = ExperimentConfig(n=16, fractions=(0.25, 0.5), trials=2, seed=3,
+                           walks=500, dyn_zones=3)
+    rows, failures = runner(cfg)
+    assert failures == ["trial 0: injected failure"]
+    assert rows and {row.trial for row in rows} == {1}

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from hvezones.cli import main, parse_config_file
+from hvezones.cli import build_parser, main, make_config, parse_config_file
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +119,29 @@ def test_invalid_parameter_exits_nonzero(capsys):
     assert "error:" in err
 
 
+def test_bad_flag_value_exits_with_one_line(capsys):
+    code, out, err = run_cli(capsys, "benchmark", "--n", "twelve")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --n: ") and err.count("\n") == 1
+
+
+def test_experiment_flags_come_from_config_fields():
+    """One flag per ExperimentConfig field; bool fields are switches named
+    after the non-default value."""
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    flags = {option for action in subparsers["benchmark"]._actions
+             for option in action.option_strings}
+    assert flags == {
+        "-h", "--help", "--config", "--out", "--n", "--algorithm", "--depth",
+        "--a", "--b", "--fractions", "--noise", "--trials", "--seed",
+        "--uniform-zones", "--no-verify", "--dummy-cover", "--alpha",
+        "--continue-prob", "--walks", "--dyn-zones"}
+    cfg = make_config(build_parser().parse_args(
+        ["benchmark", "--no-verify", "--dummy-cover"]))
+    assert (cfg.verify, cfg.dummy_cover, cfg.uniform_zones) == (False, True, False)
+
+
 def test_depth_sweep_and_timing_and_dynamics_smoke(capsys):
     code, out, _ = run_cli(capsys, "depth-sweep", "--n", "16", "--trials", "1",
                            "--fractions", "0.5", "--seed", "2")
@@ -164,8 +187,9 @@ def test_parse_config_file_types(tmp_path):
 
 
 def test_benchmark_verification_failure_is_fatal(monkeypatch, capsys):
-    """A query that misreports its pairings fails spot_check; the run
-    aborts with one diagnostic line instead of a per-trial warning."""
+    """A query that misreports its pairings fails spot_check; every runner
+    that minimizes aborts with one diagnostic line instead of a per-trial
+    warning."""
     from hvezones import bench
 
     real_query = bench.query
@@ -175,9 +199,13 @@ def test_benchmark_verification_failure_is_fatal(monkeypatch, capsys):
         return dataclasses.replace(result, pairings=result.pairings + 1)
 
     monkeypatch.setattr(bench, "query", misreporting_query)
-    code, out, err = run_cli(capsys, "benchmark", "--n", "16", "--algorithm", "GO",
-                             "--fractions", "0.5", "--trials", "2", "--seed", "3")
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: verification failed: trial 0: pairing counter mismatch")
+    for command, *extra in (("benchmark", "--algorithm", "GO"),
+                            ("depth-sweep",),
+                            ("dynamics", "--walks", "500", "--dyn-zones", "3")):
+        code, out, err = run_cli(capsys, command, "--n", "16", *extra,
+                                 "--fractions", "0.5", "--trials", "2", "--seed", "3")
+        assert code == 1, command
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "error: verification failed: trial 0: pairing counter mismatch")

@@ -1,8 +1,10 @@
-"""Byte-identity gate for the encoders, the minimizer and HVE queries.
+"""Byte-identity gate for the encoders, the minimizer, HVE queries and
+the experiment runners' CSV.
 
 Each case hashes the repr of an encoder's `forward` tuple, of a
-minimized zone's (patterns, cost, exact), or of every (value, pairings,
-message) of a fixed query corpus, on fixed seeds.  The pinned digests
+minimized zone's (patterns, cost, exact), of every (value, pairings,
+message) of a fixed query corpus, or the CSV a CLI runner prints, on
+fixed seeds.  The pinned digests
 were taken before the code they cover was last optimized; a speed-up
 must reproduce them exactly, and a change that moves them on purpose has
 to say why the new output is more correct.
@@ -14,6 +16,7 @@ import random
 import pytest
 
 from hvezones import bench
+from hvezones.cli import main
 from hvezones.grid import Grid
 from hvezones.hve import MessageSpace, encrypt, gen_token, query, setup
 from hvezones.optimizers import gray_optimizer, hge_baseline, msgo, sgo
@@ -152,3 +155,37 @@ def test_query_digest():
                 out.append((r.value, r.pairings, r.message))
     assert sum(m is not None for _, _, m in out) == 463
     assert digest(out) == QUERY_DIGEST
+
+
+# CLI runs whose stdout is hashed; timing's wall_ms column is dropped
+# because it carries real measurements
+CSV_DIGESTS = {
+    "benchmark --n 256 --algorithm GO --trials 3 --seed 42":
+        "968ab88eacd0bb9318073080cc01a0d63c47eb4787627aefed9ee09fb862706b",
+    "benchmark --n 1024 --algorithm MSGO --depth 4 --trials 2 --seed 42 "
+    "--fractions 0.3,0.6":
+        "1606ec2eea023eb65899e8c55ed9e9fb80abed7d4c8374e1ef19675eebe61707",
+    "benchmark --n 200 --algorithm RANDOM --trials 3 --seed 7 --noise 0.2 "
+    "--uniform-zones --dummy-cover":
+        "ac2a5714e0a0a66a1203fd7afdd695abe73e4c019842428df583db00d7f7290d",
+    "depth-sweep --n 100 --trials 3 --seed 42":
+        "315cfe6859e74daf2a63343ec35ed33c25af32b596283b3c5a02cabc65c69c4b",
+    "dynamics --n 64 --trials 2 --seed 5 --walks 2049 --algorithm SGO "
+    "--dyn-zones 10":
+        "5c33df4d783714bbe71ca4b6427563e34454bf7a46d32c549f34efe3232cbfc7",
+    "timing --n 300 --algorithm HGE --trials 3 --seed 4":
+        "90c196a17f61824994e1a2fc719377a7063827f36d8d497e630ad91e3ccc0077",
+}
+
+
+@pytest.mark.parametrize("command", CSV_DIGESTS)
+def test_csv_digest(command, capsys):
+    assert main(command.split()) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()]
+    wall = rows[0].index("wall_ms")
+    if command.startswith("timing"):
+        rows = [row[:wall] + row[wall + 1:] for row in rows]
+    text = "".join(",".join(row) + "\n" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_DIGESTS[command]
