@@ -134,7 +134,7 @@ def cmd_tokens(args: argparse.Namespace) -> int:
         enc = read_encoding(fp)
     if args.cells:
         zone = frozenset(int(part) for part in args.cells.split(","))
-    elif args.fraction:
+    elif args.fraction is not None:
         cfg = make_config(args)
         rng = random.Random(child_seed(cfg.seed, "probs", 0))
         probs = bench.gen_probabilities(enc.n, SigmoidModel(cfg.a, cfg.b), rng)

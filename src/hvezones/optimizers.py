@@ -10,15 +10,21 @@ two sorted sequences.
 
 The multiple-seed variant repeats depth-limited passes around fresh
 cluster seeds (breadth-first from the origin by default, uniformly random
-as an option); the scaled variant sweeps the rings breadth-first with
-depth-one passes.  Both inherit the single-pass machinery and therefore
-the same deterministic tie-breaking: equal probabilities resolve by
-ascending cell id and equal cycle weights by ascending codeword value.
+as an option).  It inherits the single-pass machinery and therefore the
+same deterministic tie-breaking: equal probabilities resolve by ascending
+cell id and equal cycle weights by ascending codeword value.
 
-Depth-one stages (every stage of the scaled variant, and stage 1 of every
-other pass) skip the cycle weights: the cycle through the seed and a
-neighbour is just that pair, so all candidates tie and the free neighbours
-take the next top cells in ascending codeword order.
+Depth-one stages (stage 1 of every pass) skip the cycle weights: the cycle
+through the seed and a neighbour is just that pair, so all candidates tie
+and the free neighbours take the next top cells in ascending codeword
+order.
+
+The scaled variant is a breadth-first sweep of depth-one passes around the
+origin, one per codeword.  It runs as one array pass per Hamming ring:
+every ring-i codeword's free neighbours lie in ring i+1, and cells come off
+the global probability order one per claimed codeword, so ring i+1 is
+claimed in the order (visit rank of its earliest-visited neighbour in ring
+i, codeword value) and needs only a sort per ring.
 
 Cycle weights are accumulated as sums of log-probabilities; a cycle through
 any zero-probability or dummy cell sinks to -inf, which preserves the
@@ -294,19 +300,59 @@ def sgo(grid: Grid, counter: Optional[OpCounter] = None) -> GridEncoding:
 
     The highest-probability cell seeds the all-zero codeword; each ring
     around it is then visited in descending order of its assigned cells'
-    probabilities, every codeword acting as the seed of a depth-one pass.
-    Ring i+1 is always fully assigned by the time it is visited because
-    each of its codewords neighbors ring i.
+    probabilities (ties by codeword value), every codeword acting as the
+    seed of a depth-one pass that hands the next top cells to its free
+    neighbours in ascending codeword order.
+
+    The sweep runs one array pass per ring rather than one pass per
+    codeword, which gives the same encoding for three reasons:
+
+    - The seed sits on codeword 0, so a ring-i codeword's free neighbours
+      all lie in ring i+1 and visiting ring i assigns all of ring i+1.
+    - Cells are only ever taken from the top of the global (descending
+      probability, ascending id) order, so the t-th codeword claimed gets
+      the t-th cell of that order.
+    - Ring i+1 is therefore claimed in the order (visit rank of its
+      earliest-visited neighbour in ring i, codeword value).
+
+    So each ring costs one sort for its visit order, k gathered minima
+    over the neighbours one bit down, and one sort for the next ring's
+    claim order.  Depth-one passes weigh nothing, so `counter` records no
+    multiplication.
     """
-    state = Assignment(grid)
-    state.assign(state.top_unassigned_cell(), 0)
-    state.go_pass(0, 1, counter)
-    for i in range(1, state.k + 1):
-        ring = ring_values(0, state.k, i)
-        ring.sort(key=lambda c: (-state.logp[state.cell_at[c]], c))
-        for cj in ring:
-            state.go_stage(cj, 1, counter)
-    return state.to_encoding("SGO")
+    k = grid.k
+    space = 1 << k
+    padded = grid.probabilities() + [0.0] * (space - grid.n)
+    order = np.argsort(-np.array(padded), kind="stable")
+    # math.log as in Assignment.logp: np.log may differ in the last bit,
+    # which would reorder near-ties; indexed by claim position
+    neg_logp = -np.array([math.log(p) if p > 0.0 else -math.inf
+                          for p in padded])[order]
+    # codewords grouped by Hamming weight, ascending value within a ring
+    weight = np.zeros(space, dtype=np.int8)
+    for b in range(k):
+        weight[1 << b:2 << b] = weight[:1 << b] + 1
+    by_ring = np.argsort(weight, kind="stable").astype(np.int32)
+    # visit ranks of the current ring; unvisited codewords (the ring two
+    # up included) keep `space`, so they never win a minimum
+    visit_rank = np.full(space, space, dtype=np.int32)
+    claimed = [by_ring[:1]]               # each ring in claim order
+    lo = 0
+    for i in range(k):
+        ring = claimed[-1]
+        hi = lo + ring.size
+        visits = ring[np.lexsort((ring, neg_logp[lo:hi]))]
+        visit_rank[visits] = np.arange(ring.size, dtype=np.int32)
+        up = by_ring[hi:hi + math.comb(k, i + 1)]
+        first = np.full(up.size, space, dtype=np.int32)
+        for b in range(k):
+            np.minimum(first, visit_rank[up ^ (1 << b)], out=first)
+        claimed.append(up[np.lexsort((up, first))])
+        lo = hi
+    forward = np.empty(space, dtype=np.int32)
+    forward[order] = np.concatenate(claimed)
+    return GridEncoding(n=grid.n, k=k, forward=tuple(forward[:grid.n].tolist()),
+                        algorithm="SGO")
 
 
 def _quad_labels(cells: Sequence[Cell], levels: int) -> np.ndarray:

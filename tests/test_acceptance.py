@@ -356,7 +356,7 @@ def test_11_timing_budgets():
     started = time.perf_counter()
     sgo(Grid.regular(50625, probs))
     sgo_s = time.perf_counter() - started
-    assert sgo_s < 10.0
+    assert sgo_s < 1.0
     budgets.append(f"SGO n=50625 {sgo_s:.1f}s")
 
     probs = [rng.random() for _ in range(4000)]

@@ -51,6 +51,17 @@ def test_tokens_requires_zone_source(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_tokens_zero_fraction_names_the_fraction(tmp_path, capsys):
+    enc_path = tmp_path / "enc.tsv"
+    run_cli(capsys, "encode", "--n", "8", "--algorithm", "RANDOM",
+            "--out", str(enc_path))
+    code, out, err = run_cli(capsys, "tokens", "--encoding", str(enc_path),
+                             "--fraction", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: fraction 0.0 yields no cells\n"
+
+
 @pytest.mark.parametrize("body", [
     pytest.param("# n=2 k=1 algorithm=x\n0\t0\n5\t1\n", id="cell-out-of-range"),
     pytest.param("# k=1 algorithm=x\n0\t0\n1\t1\n", id="header-without-n"),

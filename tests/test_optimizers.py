@@ -5,7 +5,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hvezones import bench
 from hvezones.gray import cycle_node_values, ring_values
 from hvezones.grid import Cell, Grid
 from hvezones.optimizers import (Assignment, OpCounter, _quad_labels,
@@ -156,7 +159,10 @@ def test_msgo_padding_and_determinism():
     enc2 = msgo(g, depth=2, rng_seed=9)
     assert enc1.forward == enc2.forward
     assert enc1.k == 3 and enc1.dummy_count == 3
-    assert msgo(g, depth=2, rng_seed=10).forward != enc1.forward or True
+    # the default "bfs" policy draws nothing, so the seed cannot matter
+    assert msgo(g, depth=2, rng_seed=10).forward == enc1.forward
+    assert msgo(g, depth=2, rng_seed=9, seed_policy="random").forward != \
+        msgo(g, depth=2, rng_seed=10, seed_policy="random").forward
     with pytest.raises(ValueError):
         msgo(g, depth=0, rng_seed=1)
 
@@ -295,7 +301,8 @@ def weighted_go_stage(self, seed_index, distance, counter=None):
 
 
 def encode_all(g):
-    """Every encoder whose passes run depth-one stages, with its counter."""
+    """Every encoder whose passes run `go_stage` at depth one, with its
+    counter; SGO claims its rings without it and has its own oracle."""
     runs = {
         "GO": lambda c: gray_optimizer(g, counter=c),
         "GO depth 1": lambda c: gray_optimizer(g, depth=1, counter=c),
@@ -303,7 +310,6 @@ def encode_all(g):
         "MSGO depth 2 random": lambda c: msgo(g, depth=2, rng_seed=3,
                                               seed_policy="random", counter=c),
         "MSGO depth 4": lambda c: msgo(g, depth=4, rng_seed=3, counter=c),
-        "SGO": lambda c: sgo(g, counter=c),
     }
     out = {}
     for name, run in runs.items():
@@ -333,6 +339,50 @@ def test_depth_one_stage_matches_weighted_oracle(monkeypatch):
     want = [encode_all(g) for g in grids]
     for g, mine, oracle in zip(grids, got, want):
         assert mine == oracle, g.n
+
+
+def scalar_sgo_forward(grid):
+    """SGO as depth-one passes: the top cell on codeword 0, then each ring
+    visited by (descending log-probability, codeword) with one depth-one
+    stage per codeword."""
+    state = Assignment(grid)
+    state.assign(state.top_unassigned_cell(), 0)
+    state.go_pass(0, 1)
+    for i in range(1, state.k + 1):
+        ring = ring_values(0, state.k, i)
+        ring.sort(key=lambda c: (-state.logp[state.cell_at[c]], c))
+        for cj in ring:
+            state.go_stage(cj, 1)
+    return state.to_encoding("SGO").forward
+
+
+def sgo_probabilities(kind, n):
+    rng = random.Random(f"sgo/{kind}/{n}")
+    if kind == "sigmoid":
+        return bench.gen_probabilities(n, bench.SigmoidModel(a=0.75, b=10.0), rng)
+    if kind == "uniform":
+        return [0.5] * n
+    if kind == "zeros":
+        return [0.0 if rng.random() < 0.3 else rng.random() for _ in range(n)]
+    return [round(rng.random(), 2) for _ in range(n)]          # tie-heavy
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "uniform", "zeros", "rounded"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 100, 255, 256, 257,
+                               1000, 4097])
+def test_sgo_matches_depth_one_sweep_oracle(n, kind):
+    grid = Grid.regular(n, sgo_probabilities(kind, n))
+    counter = OpCounter()
+    assert sgo(grid, counter=counter).forward == scalar_sgo_forward(grid)
+    assert counter.multiplications == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+                min_size=1, max_size=70))
+def test_sgo_matches_oracle_on_drawn_probabilities(probs):
+    grid = Grid.regular(len(probs), probs)
+    assert sgo(grid).forward == scalar_sgo_forward(grid)
 
 
 def quad_leaf(x, y, levels):
