@@ -12,8 +12,7 @@ from .hve import (Ciphertext, HveToken, MessageSpace, PublicKey, QueryResult,
                   SecretKey, encrypt, gen_token, query, setup)
 from .optimizers import (OpCounter, gray_optimizer, hge_baseline, msgo,
                          random_baseline, sgo)
-from .tokens import (TokenSet, minimize, pairing_cost, write_token_set,
-                     zone_probability)
+from .tokens import TokenSet, minimize, pairing_cost, write_token_set
 from .dynamics import (ConvergenceError, StateSpace, StationaryDistribution,
                        TransitionMatrix, UniformChain, build_q_independent,
                        build_q_spatial, cell_marginals, damp, evolve,

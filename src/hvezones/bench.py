@@ -30,8 +30,8 @@ import numpy as np
 from .dynamics import UniformChain
 from .grid import Grid, GridEncoding
 from .hve import MessageSpace, encrypt, gen_token, query, setup
-from .optimizers import (Assignment, default_seed_cell, gray_optimizer,
-                         hge_baseline, msgo, random_baseline, sgo)
+from .optimizers import (Assignment, gray_optimizer, hge_baseline, msgo,
+                         random_baseline, sgo)
 from .tokens import TokenSet, minimize, pairing_cost
 
 ALGORITHMS = ("GO", "MSGO", "SGO", "HGE", "RANDOM")
@@ -197,8 +197,7 @@ def build_encoding(algorithm: str, grid: Grid, cfg: ExperimentConfig,
     if algorithm == "GO":
         return gray_optimizer(grid, depth=cfg.depth)
     if algorithm == "MSGO":
-        return msgo(grid, depth=cfg.depth or 4,
-                    rng_seed=child_seed(cfg.seed, "msgo", trial))
+        return msgo(grid, depth=cfg.depth or 4)
     if algorithm == "SGO":
         return sgo(grid)
     if algorithm == "HGE":
@@ -347,7 +346,7 @@ def run_depth_sweep(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]
         rows = []
         for depth in range(1, grid.k + 1):
             state = Assignment(grid)
-            state.assign(default_seed_cell(grid), 0)
+            state.assign(state.take_top_cells(1)[0], 0)
             state.go_pass(0, depth)
             state.complete_random(
                 random.Random(child_seed(cfg.seed, "fill", trial, depth)))

@@ -18,7 +18,8 @@ import contextlib
 import dataclasses
 import random
 import sys
-from typing import IO, Dict, Iterator, List, Optional, Tuple, get_type_hints
+from typing import (IO, Dict, FrozenSet, Iterator, List, Optional, Tuple,
+                    get_type_hints)
 
 from . import bench
 from .bench import ExperimentConfig, SigmoidModel, child_seed
@@ -129,11 +130,22 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_cells(text: str) -> FrozenSet[int]:
+    """Comma-separated cell ids of a zone; empty or malformed lists raise
+    ConfigError."""
+    if not text.strip():
+        raise ConfigError("--cells: no cell ids given")
+    try:
+        return frozenset(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--cells: {exc}") from exc
+
+
 def cmd_tokens(args: argparse.Namespace) -> int:
     with open(args.encoding, encoding="utf-8") as fp:
         enc = read_encoding(fp)
-    if args.cells:
-        zone = frozenset(int(part) for part in args.cells.split(","))
+    if args.cells is not None:
+        zone = _parse_cells(args.cells)
     elif args.fraction is not None:
         cfg = make_config(args)
         rng = random.Random(child_seed(cfg.seed, "probs", 0))

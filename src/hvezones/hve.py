@@ -13,9 +13,10 @@ the set of non-star positions; that count is the cost model the encoding
 optimizers minimize.
 
 Keys, ciphertexts and tokens are immutable once built and safe to share
-across threads; query is pure.  Key generation, encryption and token
-generation take an explicit randomness source, so parallel callers must
-give each worker its own stream.
+across threads; query is pure.  Key generation derives its group and
+randomness from a seed; encryption and token generation take an explicit
+randomness source, so parallel callers must give each worker its own
+stream.
 """
 
 from __future__ import annotations
@@ -30,18 +31,12 @@ from .group import BilinearGroup, Element
 PATTERN_CHARS = frozenset("01*")
 
 
-def _check_attribute(bits: Sequence[int] | str, width: int) -> Tuple[int, ...]:
-    if isinstance(bits, str):
-        if not all(c in "01" for c in bits):
-            raise ValueError(f"attribute must be over {{0,1}}: {bits!r}")
-        bits = tuple(int(c) for c in bits)
-    else:
-        bits = tuple(bits)
-        if not all(b in (0, 1) for b in bits):
-            raise ValueError("attribute bits must be 0 or 1")
-    if len(bits) != width:
-        raise ValueError(f"attribute length {len(bits)} != width {width}")
-    return bits
+def _check_attribute(attribute: str, width: int) -> Tuple[int, ...]:
+    if not all(c in "01" for c in attribute):
+        raise ValueError(f"attribute must be over {{0,1}}: {attribute!r}")
+    if len(attribute) != width:
+        raise ValueError(f"attribute length {len(attribute)} != width {width}")
+    return tuple(int(c) for c in attribute)
 
 
 def check_pattern(pattern: str, width: Optional[int] = None) -> str:
@@ -155,21 +150,16 @@ class MessageSpace:
         return len(self._by_id)
 
 
-def setup(width: int,
-          group: Optional[BilinearGroup] = None,
-          seed: int = 0,
-          rng: Optional[random.Random] = None) -> Tuple[PublicKey, SecretKey]:
+def setup(width: int, seed: int = 0) -> Tuple[PublicKey, SecretKey]:
     """Generate an HVE key pair of the given width.
 
-    Either pass an explicit group or let one be derived from `seed`; the
-    same seed always yields byte-identical keys.
+    The group and the key randomness both derive from `seed`, so the same
+    seed always yields byte-identical keys.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    if group is None:
-        group = BilinearGroup.generate(seed=seed)
-    if rng is None:
-        rng = random.Random(seed ^ 0x5EED)
+    group = BilinearGroup.generate(seed=seed)
+    rng = random.Random(seed ^ 0x5EED)
 
     a = group.random_exp_p(rng)
     g = group.random_gp(rng)
@@ -193,10 +183,10 @@ def setup(width: int,
 
 
 def encrypt(pk: PublicKey,
-            attribute: Sequence[int] | str,
+            attribute: str,
             message: Element,
             rng: random.Random) -> Ciphertext:
-    """Encrypt a target-group message under an attribute bit vector."""
+    """Encrypt a target-group message under an msb-first attribute bit string."""
     bits = _check_attribute(attribute, pk.width)
     grp = pk.group
     s = grp.random_exp_n(rng)

@@ -1,23 +1,22 @@
 """Probability-aware grid encoders and baselines.
 
-The Gray optimizer places the seed cell on a chosen codeword and then fills
-the Hamming rings around it stage by stage: stage i takes the ring-size
-many highest-probability unassigned cells, weighs each ring codeword by the
-probability product of the already-assigned cells on the unique complete
-i-bit Gray cycle through the seed and that codeword (target excluded), and
-matches cells to codewords rank to rank, which is the optimal pairing of
-two sorted sequences.
+The Gray optimizer places the highest-probability cell on codeword 0 and
+then fills the Hamming rings around it stage by stage: stage i takes the
+ring-size many highest-probability unassigned cells, weighs each ring
+codeword by the probability product of the already-assigned cells on the
+unique complete i-bit Gray cycle through the seed and that codeword
+(target excluded), and matches cells to codewords rank to rank, which is
+the optimal pairing of two sorted sequences.  Every stage, the first
+included, runs this one rule; at distance one the cycle is just the seed
+and its neighbour, so the weights tie and the free neighbours take the
+next top cells in ascending codeword order.
 
-The multiple-seed variant repeats depth-limited passes around fresh
-cluster seeds (breadth-first from the origin by default, uniformly random
-as an option).  It inherits the single-pass machinery and therefore the
-same deterministic tie-breaking: equal probabilities resolve by ascending
-cell id and equal cycle weights by ascending codeword value.
-
-Depth-one stages (stage 1 of every pass) skip the cycle weights: the cycle
-through the seed and a neighbour is just that pair, so all candidates tie
-and the free neighbours take the next top cells in ascending codeword
-order.
+The multiple-seed variant visits the codewords in (Hamming weight, value)
+order and, on each one still free, seeds a fresh cluster with the top
+unassigned cell and runs a depth-limited pass around it.  It inherits the
+single-pass machinery and therefore the same deterministic tie-breaking:
+equal probabilities resolve by ascending cell id and equal cycle weights
+by ascending codeword value.
 
 The scaled variant is a breadth-first sweep of depth-one passes around the
 origin, one per codeword.  It runs as one array pass per Hamming ring:
@@ -74,11 +73,9 @@ class Assignment:
     """
 
     def __init__(self, grid: Grid):
-        self.grid = grid
         self.n = grid.n
         self.k = grid.k
         self.space = 1 << self.k
-        self._bits = [1 << b for b in range(self.k)]
         probs = grid.probabilities()
         padded = probs + [0.0] * (self.space - self.n)
         self.logp = [math.log(p) if p > 0.0 else -math.inf for p in padded]
@@ -86,7 +83,6 @@ class Assignment:
         self._ptr = 0
         self.cell_at: List[Optional[int]] = [None] * self.space
         self.index_of: List[Optional[int]] = [None] * self.space
-        self.unassigned_indices = self.space
 
     # --- bookkeeping ---
 
@@ -97,7 +93,6 @@ class Assignment:
             raise ValueError(f"codeword {index} already assigned")
         self.index_of[cell] = index
         self.cell_at[index] = cell
-        self.unassigned_indices -= 1
 
     def take_top_cells(self, count: int) -> List[int]:
         """Next `count` unassigned cells in global probability order."""
@@ -109,47 +104,16 @@ class Assignment:
                 out.append(cell)
         return out
 
-    def top_unassigned_cell(self) -> int:
-        ptr = self._ptr
-        while self.index_of[self._order[ptr]] is not None:
-            ptr += 1
-        return self._order[ptr]
-
-    def random_unassigned_index(self, rng: random.Random) -> int:
-        target = rng.randrange(self.unassigned_indices)
-        seen = 0
-        for index in range(self.space):
-            if self.cell_at[index] is None:
-                if seen == target:
-                    return index
-                seen += 1
-        raise RuntimeError("no unassigned index left")
-
     # --- the core stage ---
 
     def go_stage(self, seed_index: int, distance: int,
                  counter: Optional[OpCounter] = None) -> None:
         """Fill the unassigned part of the ring at `distance` around the seed.
 
-        Ring codewords are weighted by the log-probability sum of assigned
-        cells on their seed cycle (target excluded) and matched rank to
-        rank against the highest-probability unassigned cells.
-
-        At distance one the cycle through the seed and a neighbour is just
-        that pair, so every neighbour weighs the same (the seed's own
-        log-probability, a one-factor product that counts no
-        multiplication) and the matching hands the next top cells to the
-        free neighbours in ascending codeword order.
+        Ring codewords are weighted by the mean log-probability of the
+        assigned cells on their seed cycle (target excluded) and matched
+        rank to rank against the highest-probability unassigned cells.
         """
-        if distance == 1:
-            cell_at = self.cell_at
-            ring = [seed_index ^ bit for bit in self._bits
-                    if cell_at[seed_index ^ bit] is None]
-            if ring:
-                ring.sort()
-                for cell, cj in zip(self.take_top_cells(len(ring)), ring):
-                    self.assign(cell, cj)
-            return
         ring = [c for c in ring_values(seed_index, self.k, distance)
                 if self.cell_at[c] is None]
         if not ring:
@@ -211,87 +175,53 @@ class Assignment:
                             algorithm=algorithm)
 
 
-def default_seed_cell(grid: Grid) -> int:
-    """Highest-probability cell, ties to the lowest id."""
-    probs = grid.probabilities()
-    return min(range(grid.n), key=lambda c: (-probs[c], c))
-
-
 def gray_optimizer(grid: Grid,
-                   seed_cell: Optional[int] = None,
-                   seed_index: int = 0,
                    depth: Optional[int] = None,
                    counter: Optional[OpCounter] = None) -> GridEncoding:
     """Single-seed Gray optimizer.
 
-    Defaults place the highest-probability cell on the all-zero codeword
-    and run every stage; with a shallower depth the remaining cells are
-    appended deterministically in probability order.
+    Places the highest-probability cell (lowest id on ties) on the
+    all-zero codeword and runs every stage; with a shallower depth the
+    remaining cells are appended deterministically in probability order.
     """
     k = grid.k
     if depth is None:
         depth = k
     if not 1 <= depth <= k:
         raise ValueError(f"depth {depth} outside [1, {k}]")
-    if seed_cell is None:
-        seed_cell = default_seed_cell(grid)
-    if not 0 <= seed_cell < grid.n:
-        raise ValueError(f"seed cell {seed_cell} does not exist")
     state = Assignment(grid)
-    if not 0 <= seed_index < state.space:
-        raise ValueError(f"seed codeword {seed_index} outside the {k}-cube")
-    state.assign(seed_cell, seed_index)
-    state.go_pass(seed_index, depth, counter)
+    state.assign(state.take_top_cells(1)[0], 0)
+    state.go_pass(0, depth, counter)
     state.complete_sorted()
     return state.to_encoding("GO")
 
 
 def msgo(grid: Grid,
          depth: int,
-         rng_seed: int,
-         first_index: Optional[int] = None,
-         seed_policy: str = "bfs",
+         rng_seed: Optional[int] = None,
          counter: Optional[OpCounter] = None) -> GridEncoding:
     """Multiple-seed Gray optimizer.
 
-    Repeatedly seeds a fresh cluster on an unassigned codeword, assigns the
-    highest-probability unassigned cell to it, and runs a depth-limited
-    pass around it restricted to whatever is still free, until every
-    codeword is assigned.  `first_index` pins the first seed codeword,
-    which makes depth = k reproduce the single-seed optimizer exactly.
+    Visits the codewords in (Hamming weight, value) order; each one still
+    free seeds a fresh cluster with the highest-probability unassigned
+    cell and runs a depth-limited pass around it, restricted to whatever
+    is still free.  The first cluster therefore sits on the origin, which
+    makes depth = k reproduce the single-seed optimizer exactly, and every
+    later cluster grows against the already-assigned region, so
+    consecutive probability ranks stay Gray-adjacent across cluster
+    boundaries.
 
-    The default "bfs" policy takes the free codeword of lowest Hamming
-    weight (then lowest value), so the first cluster sits on the origin
-    and every later cluster grows against the already-assigned region;
-    consecutive probability ranks then stay Gray-adjacent across cluster
-    boundaries.  Scattering clusters on uniformly random free codewords
-    ("random" policy) leaves probability-oblivious shards between cluster
-    balls and measures roughly ten improvement points worse against the
-    hierarchical baseline at depth 4, with triple the trial variance.
+    The encoding draws no randomness: `rng_seed` is accepted and ignored
+    only because existing callers still pass it.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if seed_policy not in ("bfs", "random"):
-        raise ValueError("seed policy must be 'bfs' or 'random'")
     depth = min(depth, grid.k)
-    rng = random.Random(rng_seed)
     state = Assignment(grid)
-    # assignments never revert, so one cursor over the codewords in
-    # (weight, value) order finds every "bfs" seed in O(space) overall
-    bfs_order = iter(sorted(range(state.space), key=lambda i: (i.bit_count(), i)))
-    first = True
-    while state.unassigned_indices:
-        if first and first_index is not None:
-            index = first_index
-            if state.cell_at[index] is not None:
-                raise ValueError("first_index already assigned")
-        elif seed_policy == "random":
-            index = state.random_unassigned_index(rng)
-        else:
-            index = next(i for i in bfs_order if state.cell_at[i] is None)
-        first = False
-        state.assign(state.top_unassigned_cell(), index)
-        state.go_pass(index, depth, counter)
+    for index in sorted(range(state.space), key=lambda i: (i.bit_count(), i)):
+        if state.cell_at[index] is None:
+            state.assign(state.take_top_cells(1)[0], index)
+            state.go_pass(index, depth, counter)
     return state.to_encoding("MSGO")
 
 

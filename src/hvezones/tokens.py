@@ -21,13 +21,12 @@ popped) and chooses exactly what a full rescan per pick would.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, IO, Iterable, List, Set, Tuple
 
 from .gray import bit_positions
-from .grid import Grid, GridEncoding
+from .grid import GridEncoding
 
 EXACT_SPACE_LIMIT = 4096
 BRANCH_NODE_BUDGET = 20_000
@@ -101,18 +100,6 @@ class TokenSet:
 def pairing_cost(ts: TokenSet) -> int:
     """Query-side bilinear pairings: 2 per non-star bit plus 1 per token."""
     return 2 * ts.cost + len(ts.patterns)
-
-
-def zone_probability(zone: Iterable[int], grid: Grid) -> float:
-    """Mutual probability of the zone's cells, accumulated in log space."""
-    probs = grid.probabilities()
-    total = 0.0
-    for cell in zone:
-        p = probs[cell]
-        if p <= 0.0:
-            return 0.0
-        total += math.log(p)
-    return math.exp(total)
 
 
 # --- prime implicant generation (exact path) ---
@@ -242,10 +229,6 @@ def exact_cover(k: int, primes: List[Implicant],
     primes = [p for _, _, p in keyed]
     cover_bits = _cover_bits(primes, minterms)
     full = (1 << len(minterms)) - 1
-
-    # the only zero-cost implicant is the all-star cube, unbeatable alone
-    if costs and costs[0] == 0:
-        return [primes[0]], True
 
     chosen: List[int] = []
     remaining = full

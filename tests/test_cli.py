@@ -62,6 +62,23 @@ def test_tokens_zero_fraction_names_the_fraction(tmp_path, capsys):
     assert err == "error: fraction 0.0 yields no cells\n"
 
 
+@pytest.mark.parametrize("cells,reason", [
+    ("", "no cell ids given"),
+    (" ", "no cell ids given"),
+    ("1,,2", "invalid literal for int() with base 10: ''"),
+    ("0,x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_tokens_rejects_empty_or_malformed_cells(tmp_path, capsys, cells, reason):
+    enc_path = tmp_path / "enc.tsv"
+    run_cli(capsys, "encode", "--n", "8", "--algorithm", "RANDOM",
+            "--out", str(enc_path))
+    code, out, err = run_cli(capsys, "tokens", "--encoding", str(enc_path),
+                             "--cells", cells)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --cells: {reason}\n"
+
+
 @pytest.mark.parametrize("body", [
     pytest.param("# n=2 k=1 algorithm=x\n0\t0\n5\t1\n", id="cell-out-of-range"),
     pytest.param("# k=1 algorithm=x\n0\t0\n1\t1\n", id="header-without-n"),

@@ -19,7 +19,8 @@ from hvezones import bench
 from hvezones.cli import main
 from hvezones.grid import Grid
 from hvezones.hve import MessageSpace, encrypt, gen_token, query, setup
-from hvezones.optimizers import gray_optimizer, hge_baseline, msgo, sgo
+from hvezones.optimizers import (OpCounter, gray_optimizer, hge_baseline,
+                                 msgo, sgo)
 from hvezones.tokens import EXACT_SPACE_LIMIT, minimize
 
 MODEL = bench.SigmoidModel(a=0.75, b=10.0)
@@ -115,6 +116,50 @@ def test_encoding_digest(algorithm, n, seed, kind):
     enc = ENCODERS[algorithm](grid_for(n, seed, kind))
     key = f"{algorithm}/{n}/{seed}/{kind}"
     assert digest(enc.forward) == ENCODING_DIGESTS[key]
+
+
+def shallow_grids():
+    """Small and degenerate grids: one cell (positive and zero), all ties,
+    many zero-probability cells, dummy-padded sizes, and three tied
+    probability levels."""
+    rng = random.Random(21)
+    yield Grid.regular(1, [0.7])
+    yield Grid.regular(1, [0.0])
+    for n in (16, 64, 100):
+        yield Grid.regular(n, [0.5] * n)
+    for n in (32, 100, 256):
+        yield Grid.regular(n, [0.0 if rng.random() < 0.4 else rng.random()
+                               for _ in range(n)])
+    for n in (3, 5, 33, 100, 1000):
+        yield Grid.regular(n, [rng.random() for _ in range(n)])
+    yield Grid.regular(200, [rng.choice((0.0, 0.25, 0.5)) for _ in range(200)])
+
+
+# shallow GO and MSGO passes, whose first stage the cases above never run
+# alone; each digest hashes (forward, multiplications) over shallow_grids()
+SHALLOW_RUNS = {
+    "GO/1": lambda g, c: gray_optimizer(g, depth=1, counter=c),
+    "GO/3": lambda g, c: gray_optimizer(g, depth=min(3, g.k), counter=c),
+    "MSGO/1": lambda g, c: msgo(g, depth=1, rng_seed=3, counter=c),
+    "MSGO/2": lambda g, c: msgo(g, depth=2, rng_seed=3, counter=c),
+}
+
+SHALLOW_DIGESTS = {
+    "GO/1": "3f981722fc2017ca4a092536c242322205ac143072a45c7e685295193e7deaf7",
+    "GO/3": "f121fd03bc533b84cd77405729fdb576586f731c85ae7f6e4c13d14f3c4713e8",
+    "MSGO/1": "45e82e3f49938fd7f852a4c4202636a0937418c28917b3a6296c2ed47f6ab63a",
+    "MSGO/2": "9747cbdc33a3c3ea3840e1019d818c735c43f301e0b373ce982628a96b6e3733",
+}
+
+
+@pytest.mark.parametrize("run", SHALLOW_RUNS)
+def test_shallow_pass_digest(run):
+    out = []
+    for grid in shallow_grids():
+        counter = OpCounter()
+        out.append((SHALLOW_RUNS[run](grid, counter).forward,
+                    counter.multiplications))
+    assert digest(out) == SHALLOW_DIGESTS[run]
 
 
 @pytest.mark.parametrize("algorithm,n,seed,fraction,dummy", MINIMIZE_CASES)

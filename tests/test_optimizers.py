@@ -12,8 +12,13 @@ from hvezones import bench
 from hvezones.gray import cycle_node_values, ring_values
 from hvezones.grid import Cell, Grid
 from hvezones.optimizers import (Assignment, OpCounter, _quad_labels,
-                                 default_seed_cell, gray_optimizer,
-                                 hge_baseline, msgo, random_baseline, sgo)
+                                 gray_optimizer, hge_baseline, msgo,
+                                 random_baseline, sgo)
+
+
+def top_cell(probs):
+    """Highest-probability cell, ties to the lowest id."""
+    return min(range(len(probs)), key=lambda c: (-probs[c], c))
 
 
 def stage_objective(prob_at, k, seed_index, distance):
@@ -35,17 +40,12 @@ def test_two_cell_grid_forced():
 
 def test_seed_defaults_and_validation():
     g = Grid.regular(4, [0.2, 0.9, 0.4, 0.9])
-    assert default_seed_cell(g) == 1  # highest probability, lowest id on tie
     enc = gray_optimizer(g)
-    assert enc.value(1) == 0
+    assert enc.value(1) == 0  # highest probability, lowest id on tie
     with pytest.raises(ValueError):
         gray_optimizer(g, depth=0)
     with pytest.raises(ValueError):
         gray_optimizer(g, depth=5)
-    with pytest.raises(ValueError):
-        gray_optimizer(g, seed_cell=7)
-    with pytest.raises(ValueError):
-        gray_optimizer(g, seed_index=9)
 
 
 def test_assignment_rejects_double_assignment():
@@ -90,7 +90,7 @@ def test_stage_choices_match_bruteforce_maxima():
         probs = [rng.random() for _ in range(8)]
         g = Grid.regular(8, probs)
         enc = gray_optimizer(g)
-        seed = default_seed_cell(g)
+        seed = top_cell(probs)
         assert enc.value(seed) == 0
         assigned = {0: probs[seed]}
         used = {seed}
@@ -120,7 +120,7 @@ def test_full_completion_matches_global_maximum_k3():
         enc = gray_optimizer(g)
         value = {enc.value(c): probs[c] for c in range(8)}
         got = sum(stage_objective(value, 3, 0, d) for d in (1, 2, 3))
-        seed = default_seed_cell(g)
+        seed = top_cell(probs)
         best = -1.0
         others = [c for c in range(8) if c != seed]
         for perm in itertools.permutations(others):
@@ -149,22 +149,21 @@ def test_msgo_full_depth_forced_seed_equals_go():
     for n in (8, 16, 32):
         probs = [rng.random() for _ in range(n)]
         g = Grid.regular(n, probs)
-        assert msgo(g, depth=g.k, rng_seed=77, first_index=0).forward == \
-            gray_optimizer(g).forward
+        assert msgo(g, depth=g.k).forward == gray_optimizer(g).forward
 
 
 def test_msgo_padding_and_determinism():
     g = Grid.regular(5, [0.5, 0.4, 0.3, 0.2, 0.1])
-    enc1 = msgo(g, depth=2, rng_seed=9)
-    enc2 = msgo(g, depth=2, rng_seed=9)
+    enc1 = msgo(g, depth=2)
+    enc2 = msgo(g, depth=2)
     assert enc1.forward == enc2.forward
     assert enc1.k == 3 and enc1.dummy_count == 3
-    # the default "bfs" policy draws nothing, so the seed cannot matter
-    assert msgo(g, depth=2, rng_seed=10).forward == enc1.forward
-    assert msgo(g, depth=2, rng_seed=9, seed_policy="random").forward != \
-        msgo(g, depth=2, rng_seed=10, seed_policy="random").forward
+    # MSGO draws nothing, so the inert rng_seed keyword cannot matter
+    assert msgo(g, depth=2, rng_seed=9).forward == enc1.forward
+    assert msgo(g, depth=2, rng_seed=10, counter=OpCounter()).forward == \
+        enc1.forward
     with pytest.raises(ValueError):
-        msgo(g, depth=0, rng_seed=1)
+        msgo(g, depth=0)
 
 
 def test_sgo_hand_example():
@@ -225,7 +224,7 @@ def test_every_optimizer_yields_valid_minimal_width_encoding(n):
     probs = [rng.random() for _ in range(n)]
     g = Grid.regular(n, probs)
     want_k = g.k
-    for enc in (gray_optimizer(g), msgo(g, depth=2, rng_seed=4), sgo(g),
+    for enc in (gray_optimizer(g), msgo(g, depth=2), sgo(g),
                 random_baseline(g, 8)):
         assert enc.n == n
         assert enc.k == want_k
@@ -238,7 +237,7 @@ def test_spot_sizes_bijection():
     for n in (100, 1024):
         probs = [rng.random() for _ in range(n)]
         g = Grid.regular(n, probs)
-        for enc in (sgo(g), msgo(g, depth=4, rng_seed=1)):
+        for enc in (sgo(g), msgo(g, depth=4)):
             assert len(set(enc.forward)) == n
             assert enc.k == g.k
 
@@ -249,7 +248,7 @@ def test_optimizers_deterministic():
     g = Grid.regular(32, probs)
     assert gray_optimizer(g).forward == gray_optimizer(g).forward
     assert sgo(g).forward == sgo(g).forward
-    assert msgo(g, depth=3, rng_seed=5).forward == msgo(g, depth=3, rng_seed=5).forward
+    assert msgo(g, depth=3).forward == msgo(g, depth=3).forward
 
 
 def test_depth_limited_pass_then_completion():
@@ -261,7 +260,7 @@ def test_depth_limited_pass_then_completion():
     enc = gray_optimizer(g, depth=1)
     assert len(set(enc.forward)) == 32
     ring1 = set(ring_values(0, 5, 1))
-    seed = default_seed_cell(g)
+    seed = top_cell(probs)
     order = sorted(range(32), key=lambda c: (-probs[c], c))
     expect_ring1 = set(order[1:6])  # next five cells after the seed
     got_ring1 = {c for c in range(32) if enc.value(c) in ring1}
@@ -269,84 +268,14 @@ def test_depth_limited_pass_then_completion():
     assert enc.value(seed) == 0
 
 
-# --- oracles for the closed-form depth-one stage and the array HGE labels ---
-
-def weighted_go_stage(self, seed_index, distance, counter=None):
-    """Cycle-weighted stage at every distance, depth one included: each
-    free ring codeword weighs the per-factor mean log-probability of the
-    assigned cells on its seed cycle, then rank-to-rank matching."""
-    ring = [c for c in ring_values(seed_index, self.k, distance)
-            if self.cell_at[c] is None]
-    if not ring:
-        return
-    weighted = []
-    for cj in ring:
-        total = 0.0
-        factors = 0
-        for node in cycle_node_values(seed_index, cj):
-            if node == cj:
-                continue
-            cell = self.cell_at[node]
-            if cell is not None:
-                total += self.logp[cell]
-                factors += 1
-        if counter is not None:
-            counter.record_product(factors)
-        weight = total / factors if factors else -math.inf
-        weighted.append((weight, cj))
-    weighted.sort(key=lambda t: (-t[0], t[1]))
-    cells = self.take_top_cells(len(ring))
-    for cell, (_, cj) in zip(cells, weighted):
-        self.assign(cell, cj)
-
-
-def encode_all(g):
-    """Every encoder whose passes run `go_stage` at depth one, with its
-    counter; SGO claims its rings without it and has its own oracle."""
-    runs = {
-        "GO": lambda c: gray_optimizer(g, counter=c),
-        "GO depth 1": lambda c: gray_optimizer(g, depth=1, counter=c),
-        "MSGO depth 1": lambda c: msgo(g, depth=1, rng_seed=3, counter=c),
-        "MSGO depth 2 random": lambda c: msgo(g, depth=2, rng_seed=3,
-                                              seed_policy="random", counter=c),
-        "MSGO depth 4": lambda c: msgo(g, depth=4, rng_seed=3, counter=c),
-    }
-    out = {}
-    for name, run in runs.items():
-        counter = OpCounter()
-        out[name] = (run(counter).forward, counter.multiplications)
-    return out
-
-
-def oracle_grids():
-    rng = random.Random(21)
-    yield Grid.regular(1, [0.7])
-    yield Grid.regular(1, [0.0])
-    for n in (16, 64, 100):
-        yield Grid.regular(n, [0.5] * n)                        # all ties
-    for n in (32, 100, 256):
-        yield Grid.regular(n, [0.0 if rng.random() < 0.4 else rng.random()
-                               for _ in range(n)])              # zero cells
-    for n in (3, 5, 33, 100, 1000):                             # dummy seeds
-        yield Grid.regular(n, [rng.random() for _ in range(n)])
-    yield Grid.regular(200, [rng.choice((0.0, 0.25, 0.5)) for _ in range(200)])
-
-
-def test_depth_one_stage_matches_weighted_oracle(monkeypatch):
-    grids = list(oracle_grids())
-    got = [encode_all(g) for g in grids]
-    monkeypatch.setattr(Assignment, "go_stage", weighted_go_stage)
-    want = [encode_all(g) for g in grids]
-    for g, mine, oracle in zip(grids, got, want):
-        assert mine == oracle, g.n
-
+# --- oracles for the SGO ring sweep and the array HGE labels ---
 
 def scalar_sgo_forward(grid):
     """SGO as depth-one passes: the top cell on codeword 0, then each ring
     visited by (descending log-probability, codeword) with one depth-one
     stage per codeword."""
     state = Assignment(grid)
-    state.assign(state.top_unassigned_cell(), 0)
+    state.assign(state.take_top_cells(1)[0], 0)
     state.go_pass(0, 1)
     for i in range(1, state.k + 1):
         ring = ring_values(0, state.k, i)

@@ -17,7 +17,7 @@ from hvezones.tokens import (_cover_bits, _greedy_pick, _prune_redundant,
                              exact_cover, expand_implicant, greedy_cover,
                              implicant_cost, implicant_pattern, minimize,
                              pairing_cost, pattern_implicant, prime_implicants,
-                             write_token_set, zone_probability)
+                             write_token_set)
 
 
 def identity_encoding(n, k):
@@ -83,6 +83,18 @@ def test_full_space_single_star_pattern():
     assert ts.patterns == ("****",)
     assert ts.cost == 0
     assert pairing_cost(ts) == 1
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_exact_cover_full_space_is_the_all_star_cube(k):
+    """A full-space function has the all-star cube as its only prime; the
+    reductions take it as essential, with or without don't-cares."""
+    full = (1 << k) - 1
+    for minterms, dontcares in ((set(range(1 << k)), set()),
+                                ({0, full}, set(range(1, full)))):
+        primes = prime_implicants(k, minterms, dontcares)
+        assert primes == [(full, 0)]
+        assert exact_cover(k, primes, minterms) == ([(full, 0)], True)
 
 
 def test_errors():
@@ -215,13 +227,6 @@ def test_hve_round_trip_through_token_sets():
             matched = [r for r in hits if r.matched]
             assert bool(matched) == (cell in zone)
             assert all(r.message == 9 for r in matched)
-
-
-def test_zone_probability():
-    grid = Grid.regular(4, [0.2, 0.8, 0.5, 0.0])
-    assert zone_probability({0}, grid) == pytest.approx(0.2)
-    assert zone_probability({0, 1}, grid) == pytest.approx(0.16)
-    assert zone_probability({0, 1, 3}, grid) == 0.0
 
 
 def test_token_set_text_format():
@@ -446,7 +451,7 @@ def cover_instances():
     for seed in range(2):
         rng = random.Random(f"oracle/{seed}")
         grid = Grid.regular(256, bench.gen_probabilities(256, model, rng))
-        for enc in (hge_baseline(grid), msgo(grid, depth=4, rng_seed=seed)):
+        for enc in (hge_baseline(grid), msgo(grid, depth=4)):
             for fraction in (0.3, 0.6):
                 zone = bench.sample_zone(grid.probabilities(), fraction, rng)
                 for dummy in (False, True):
