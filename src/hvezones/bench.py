@@ -146,8 +146,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.a <= 1.0:
             raise ValueError("sigmoid inflection a must lie in [0, 1]")
-        if self.b < 0.0:
-            raise ValueError("sigmoid gradient b must be >= 0")
+        if not (math.isfinite(self.b) and self.b >= 0.0):
+            raise ValueError("sigmoid gradient b must be finite and >= 0")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0.0 < self.continue_prob < 1.0:

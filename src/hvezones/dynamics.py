@@ -30,7 +30,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -45,29 +45,6 @@ DISTANCE_FLOOR = 1e-6
 
 class ConvergenceError(RuntimeError):
     """Power iteration failed to settle; damp the chain and retry."""
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Power set of n cells indexed by membership bitmask."""
-
-    n: int
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
-    def members(self, state: int) -> Tuple[int, ...]:
-        return tuple(j for j in range(self.n) if state >> j & 1)
-
-    def cardinality(self, state: int) -> int:
-        return int(state).bit_count()
-
-    def index_of(self, cells: Sequence[int]) -> int:
-        state = 0
-        for j in cells:
-            state |= 1 << j
-        return state
 
 
 class TransitionMatrix:
@@ -150,7 +127,7 @@ def _assemble(n: int, rows: List[List[Tuple[int, float]]]) -> TransitionMatrix:
     return TransitionMatrix(n, base)
 
 
-def build_q_independent(grid: Grid, cap: int = EXACT_CELL_CAP) -> TransitionMatrix:
+def build_q_independent(grid: Grid) -> TransitionMatrix:
     """Spatially independent chain: a flip of cell v has weight p(v).
 
     Raw weights of a row need not sum to one for n >= 3, so each row is
@@ -158,7 +135,7 @@ def build_q_independent(grid: Grid, cap: int = EXACT_CELL_CAP) -> TransitionMatr
     normalization is a no-op and the textbook 4x4 matrix falls out.
     """
     n = grid.n
-    _check_cap(n, cap)
+    _check_cap(n, EXACT_CELL_CAP)
     probs = grid.probabilities()
     total = sum(probs)
     if total <= 0.0:
@@ -190,8 +167,7 @@ def build_q_independent_recursive(grid: Grid) -> TransitionMatrix:
     return TransitionMatrix(n, sparse.csr_matrix(w))
 
 
-def build_q_spatial(grid: Grid, cap: int = EXACT_CELL_CAP,
-                    distance_floor: float = DISTANCE_FLOOR) -> TransitionMatrix:
+def build_q_spatial(grid: Grid) -> TransitionMatrix:
     """Spatially dependent chain: a flip of cell v from state S has weight
     p(v) / d(v, centroid(S)), distances floored to avoid blowups.
 
@@ -199,7 +175,7 @@ def build_q_spatial(grid: Grid, cap: int = EXACT_CELL_CAP,
     zone has no centroid, so additions from it use plain p(v) as well.
     """
     n = grid.n
-    _check_cap(n, cap)
+    _check_cap(n, EXACT_CELL_CAP)
     probs = grid.probabilities()
     centers = grid.centers()
     size = 1 << n
@@ -218,7 +194,7 @@ def build_q_spatial(grid: Grid, cap: int = EXACT_CELL_CAP,
                     w = probs[j]  # removal of a lone cell: distance is degenerate
                 else:
                     d = math.hypot(centers[j][0] - cx, centers[j][1] - cy)
-                    w = probs[j] / max(d, distance_floor)
+                    w = probs[j] / max(d, DISTANCE_FLOOR)
                 weights.append((state ^ (1 << j), w))
         total = sum(w for _, w in weights)
         if total <= 0.0:
@@ -310,15 +286,16 @@ def stationary_monte_carlo(q: TransitionMatrix,
                                   samples=walks)
 
 
-def cell_marginals(s: StationaryDistribution, space: StateSpace) -> np.ndarray:
+def cell_marginals(s: StationaryDistribution) -> np.ndarray:
     """Per-cell alert probability: total stationary mass of the states
-    containing the cell."""
-    if len(s.probs) != space.size:
-        raise ValueError("distribution length does not match state space")
-    states = np.arange(space.size)
-    return np.array([
-        s.probs[(states >> j) & 1 == 1].sum() for j in range(space.n)
-    ])
+    containing the cell.  The cell count n comes from the distribution's
+    length, which must be 2^n."""
+    size = len(s.probs)
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"distribution length {size} is not a power of two")
+    states = np.arange(size)
+    return np.array([s.probs[(states >> j) & 1 == 1].sum()
+                     for j in range(size.bit_length() - 1)])
 
 
 class UniformChain:

@@ -13,6 +13,12 @@ from dataclasses import dataclass, field
 from typing import Dict, IO, List, Optional, Sequence, Tuple
 
 
+def min_width(n: int) -> int:
+    """Codeword width of a minimal encoding of n cells: ceil(log2 n), at
+    least 1."""
+    return max(1, (n - 1).bit_length())
+
+
 @dataclass(frozen=True)
 class Cell:
     id: int
@@ -41,7 +47,7 @@ class Grid:
     @property
     def k(self) -> int:
         """Codeword width needed for a minimal encoding."""
-        return max(1, math.ceil(math.log2(self.n))) if self.n > 1 else 1
+        return min_width(self.n)
 
     def probabilities(self) -> List[float]:
         return [c.p for c in self.cells]
@@ -96,16 +102,17 @@ class GridEncoding:
     def __post_init__(self):
         if len(self.forward) != self.n:
             raise ValueError("forward map must cover every cell")
-        min_k = max(1, math.ceil(math.log2(self.n))) if self.n > 1 else 1
-        if self.k < min_k:
+        if self.k < min_width(self.n):
             raise ValueError("codeword width too small for cell count")
-        reverse: Dict[int, int] = {}
-        for cell_id, value in enumerate(self.forward):
-            if not 0 <= value < (1 << self.k):
-                raise ValueError(f"codeword {value} out of range for width {self.k}")
-            if value in reverse:
-                raise ValueError(f"codeword {value} assigned twice")
-            reverse[value] = cell_id
+        space = 1 << self.k
+        if self.n and (min(self.forward) < 0 or max(self.forward) >= space):
+            bad = next(v for v in self.forward if not 0 <= v < space)
+            raise ValueError(f"codeword {bad} out of range for width {self.k}")
+        reverse = dict(zip(self.forward, range(self.n)))
+        if len(reverse) != self.n:
+            seen = set()
+            bad = next(v for v in self.forward if v in seen or seen.add(v))
+            raise ValueError(f"codeword {bad} assigned twice")
         object.__setattr__(self, "_reverse", reverse)
 
     @property

@@ -1,237 +1,154 @@
-"""Self-describing binary serialization for keys, ciphertexts and tokens.
+"""Self-describing binary serialization for public keys, ciphertexts and tokens.
 
-Layout: one version byte, one type tag byte, then fields in a fixed order.
-Every integer is length-prefixed (4-byte big-endian length, then big-endian
-magnitude; zero encodes as length 0).  Group elements are two integers,
-strings are length-prefixed ASCII.  The group factors (P, Q) are embedded
-so each blob decodes standalone; this leaks the factorization, which is
-consistent with the reference group being deliberately insecure.
+A blob is one version byte, one type tag byte, then a run of fields, each
+a 4-byte big-endian length followed by that many bytes.  An integer field
+is its big-endian magnitude (zero is the empty field) and a string field
+is its ASCII bytes.  A group element is two integer fields.  Each tag has
+one layout: a fixed head, one head field that declares a count, then that
+many entries of a fixed number of fields.  The public key embeds the
+group factors (P, Q) so it decodes standalone; this leaks the
+factorization, which is consistent with the reference group being
+deliberately insecure.
 
-Loaders reject, with WireError, truncated blobs, trailing bytes after the
-last field, non-ASCII strings, key blobs whose group factors are not two
-distinct primes, and tokens whose positions are not exactly their
-pattern's non-star positions in ascending order.
+Loaders split and bounds-check the whole blob, then check its field count
+against the count it declares, before any object is built.  They refuse,
+with WireError, a wrong version or tag, truncated blobs, trailing bytes,
+declared counts that disagree with the fields present, non-ASCII
+strings, public keys whose group factors are not two distinct primes,
+and tokens whose positions are not exactly their pattern's non-star
+positions in ascending order.
+
+There is no secret-key blob: the authority never ships its secret key,
+and `hve.setup` re-derives a key pair from (width, seed).
 """
 
 from __future__ import annotations
 
-import io
-from .group import BilinearGroup, Element, GroupError
-from .hve import Ciphertext, HveToken, PublicKey, SecretKey, check_pattern
+import struct
+from itertools import repeat
+from typing import List, Union
+
+from .group import BilinearGroup, GroupError
+from .hve import Ciphertext, HveToken, PublicKey, check_pattern
 
 VERSION = 1
 
 TAG_PUBLIC_KEY = 1
-TAG_SECRET_KEY = 2
 TAG_CIPHERTEXT = 3
 TAG_TOKEN = 4
+
+# tag -> (head fields, index of the head field declaring the count,
+# fields per counted entry)
+_LAYOUTS = {
+    TAG_PUBLIC_KEY: (9, 2, 6),  # P, Q, width, g_q, V, A | U_i, H_i, W_i
+    TAG_CIPHERTEXT: (5, 0, 4),  # width, C', C_0 | C_{i,1}, C_{i,2}
+    TAG_TOKEN: (4, 3, 5),       # pattern, K_0, |J| | i, K_{i,1}, K_{i,2}
+}
+
+_LENGTH = struct.Struct(">I")
 
 
 class WireError(ValueError):
     """Malformed or unsupported serialized blob."""
 
 
-def _write_int(buf: io.BytesIO, value: int) -> None:
-    if value < 0:
-        raise WireError("negative integers are not representable")
-    raw = value.to_bytes((value.bit_length() + 7) // 8, "big") if value else b""
-    buf.write(len(raw).to_bytes(4, "big"))
-    buf.write(raw)
-
-
-def _read_int(buf: io.BytesIO) -> int:
-    head = buf.read(4)
-    if len(head) != 4:
-        raise WireError("truncated integer length")
-    size = int.from_bytes(head, "big")
-    raw = buf.read(size)
-    if len(raw) != size:
-        raise WireError("truncated integer body")
-    return int.from_bytes(raw, "big") if raw else 0
-
-
-def _write_element(buf: io.BytesIO, el: Element) -> None:
-    _write_int(buf, el[0])
-    _write_int(buf, el[1])
-
-
-def _read_element(buf: io.BytesIO) -> Element:
-    return (_read_int(buf), _read_int(buf))
-
-
-def _read_group(buf: io.BytesIO) -> BilinearGroup:
-    p, q = _read_int(buf), _read_int(buf)
+def _pack(tag: int, fields: List[Union[int, str]]) -> bytes:
+    out = [bytes((VERSION, tag))]
     try:
-        return BilinearGroup(p, q)
-    except GroupError as exc:
-        raise WireError(str(exc)) from exc
+        for value in fields:
+            raw = (value.encode("ascii") if isinstance(value, str)
+                   else value.to_bytes((value.bit_length() + 7) // 8, "big"))
+            out.append(len(raw).to_bytes(4, "big"))
+            out.append(raw)
+    except OverflowError as exc:
+        raise WireError("negative integers are not representable") from exc
+    return b"".join(out)
 
 
-def _write_str(buf: io.BytesIO, s: str) -> None:
-    raw = s.encode("ascii")
-    buf.write(len(raw).to_bytes(4, "big"))
-    buf.write(raw)
-
-
-def _read_str(buf: io.BytesIO) -> str:
-    head = buf.read(4)
-    if len(head) != 4:
-        raise WireError("truncated string length")
-    size = int.from_bytes(head, "big")
-    raw = buf.read(size)
-    if len(raw) != size:
-        raise WireError("truncated string body")
-    try:
-        return raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise WireError("string is not ASCII") from exc
-
-
-def _header(buf: io.BytesIO, tag: int) -> None:
-    buf.write(bytes([VERSION, tag]))
-
-
-def _check_header(buf: io.BytesIO, tag: int) -> None:
-    head = buf.read(2)
-    if len(head) != 2:
+def _unpack(blob: bytes, tag: int) -> List[bytes]:
+    """The fields of a blob of the given tag, checked against its layout."""
+    if len(blob) < 2:
         raise WireError("blob too short for header")
-    if head[0] != VERSION:
-        raise WireError(f"unsupported version {head[0]}")
-    if head[1] != tag:
-        raise WireError(f"expected tag {tag}, found {head[1]}")
+    if blob[0] != VERSION:
+        raise WireError(f"unsupported version {blob[0]}")
+    if blob[1] != tag:
+        raise WireError(f"expected tag {tag}, found {blob[1]}")
+    fields = []
+    at, end = 2, len(blob)
+    try:
+        while at < end:
+            body = at + 4
+            at = body + _LENGTH.unpack_from(blob, at)[0]
+            fields.append(blob[body:at])
+    except struct.error as exc:
+        raise WireError("truncated field length") from exc
+    if at != end:
+        raise WireError("truncated field body")
+    head, count_at, per = _LAYOUTS[tag]
+    if len(fields) < head:
+        raise WireError(f"{len(fields)} fields, fewer than the {head} of the head")
+    count = int.from_bytes(fields[count_at], "big")
+    if len(fields) != head + per * count:
+        raise WireError(f"{len(fields)} fields, but the blob declares {count} "
+                        f"entries of {per} after a head of {head}")
+    return fields
 
 
-def _check_end(buf: io.BytesIO) -> None:
-    if buf.read(1):
-        raise WireError("trailing bytes after the last field")
+def _ints(fields: List[bytes]) -> List[int]:
+    return list(map(int.from_bytes, fields, repeat("big")))
 
 
 def dump_public_key(pk: PublicKey) -> bytes:
-    buf = io.BytesIO()
-    _header(buf, TAG_PUBLIC_KEY)
-    _write_int(buf, pk.group.p)
-    _write_int(buf, pk.group.q)
-    _write_int(buf, pk.width)
-    _write_element(buf, pk.g_q)
-    _write_element(buf, pk.v_blinded)
-    _write_element(buf, pk.a_pair)
-    for i in range(pk.width):
-        _write_element(buf, pk.u_blinded[i])
-        _write_element(buf, pk.h_blinded[i])
-        _write_element(buf, pk.w_blinded[i])
-    return buf.getvalue()
+    fields = [pk.group.p, pk.group.q, pk.width, *pk.g_q, *pk.v_blinded, *pk.a_pair]
+    for u, h, w in zip(pk.u_blinded, pk.h_blinded, pk.w_blinded):
+        fields += u + h + w
+    return _pack(TAG_PUBLIC_KEY, fields)
 
 
 def load_public_key(blob: bytes) -> PublicKey:
-    buf = io.BytesIO(blob)
-    _check_header(buf, TAG_PUBLIC_KEY)
-    group = _read_group(buf)
-    width = _read_int(buf)
-    g_q = _read_element(buf)
-    v_blinded = _read_element(buf)
-    a_pair = _read_element(buf)
-    u, h, w = [], [], []
-    for _ in range(width):
-        u.append(_read_element(buf))
-        h.append(_read_element(buf))
-        w.append(_read_element(buf))
-    _check_end(buf)
-    return PublicKey(group=group, g_q=g_q, v_blinded=v_blinded, a_pair=a_pair,
-                     u_blinded=tuple(u), h_blinded=tuple(h), w_blinded=tuple(w))
-
-
-def dump_secret_key(sk: SecretKey) -> bytes:
-    buf = io.BytesIO()
-    _header(buf, TAG_SECRET_KEY)
-    _write_int(buf, sk.group.p)
-    _write_int(buf, sk.group.q)
-    _write_int(buf, sk.width)
-    _write_element(buf, sk.g_q)
-    _write_int(buf, sk.a)
-    _write_element(buf, sk.g)
-    _write_element(buf, sk.v)
-    for i in range(sk.width):
-        _write_element(buf, sk.u[i])
-        _write_element(buf, sk.h[i])
-        _write_element(buf, sk.w[i])
-    return buf.getvalue()
-
-
-def load_secret_key(blob: bytes) -> SecretKey:
-    buf = io.BytesIO(blob)
-    _check_header(buf, TAG_SECRET_KEY)
-    group = _read_group(buf)
-    width = _read_int(buf)
-    g_q = _read_element(buf)
-    a = _read_int(buf)
-    g = _read_element(buf)
-    v = _read_element(buf)
-    u, h, w = [], [], []
-    for _ in range(width):
-        u.append(_read_element(buf))
-        h.append(_read_element(buf))
-        w.append(_read_element(buf))
-    _check_end(buf)
-    return SecretKey(group=group, g_q=g_q, a=a, g=g, v=v,
-                     u=tuple(u), h=tuple(h), w=tuple(w))
+    n = _ints(_unpack(blob, TAG_PUBLIC_KEY))
+    try:
+        group = BilinearGroup(n[0], n[1])
+    except GroupError as exc:
+        raise WireError(str(exc)) from exc
+    return PublicKey(group=group, g_q=(n[3], n[4]), v_blinded=(n[5], n[6]),
+                     a_pair=(n[7], n[8]), u_blinded=tuple(zip(n[9::6], n[10::6])),
+                     h_blinded=tuple(zip(n[11::6], n[12::6])),
+                     w_blinded=tuple(zip(n[13::6], n[14::6])))
 
 
 def dump_ciphertext(c: Ciphertext) -> bytes:
-    buf = io.BytesIO()
-    _header(buf, TAG_CIPHERTEXT)
-    _write_int(buf, c.width)
-    _write_element(buf, c.c_prime)
-    _write_element(buf, c.c0)
-    for i in range(c.width):
-        _write_element(buf, c.c1[i])
-        _write_element(buf, c.c2[i])
-    return buf.getvalue()
+    fields = [c.width, *c.c_prime, *c.c0]
+    for c1, c2 in zip(c.c1, c.c2):
+        fields += c1 + c2
+    return _pack(TAG_CIPHERTEXT, fields)
 
 
 def load_ciphertext(blob: bytes) -> Ciphertext:
-    buf = io.BytesIO(blob)
-    _check_header(buf, TAG_CIPHERTEXT)
-    width = _read_int(buf)
-    c_prime = _read_element(buf)
-    c0 = _read_element(buf)
-    c1, c2 = [], []
-    for _ in range(width):
-        c1.append(_read_element(buf))
-        c2.append(_read_element(buf))
-    _check_end(buf)
-    return Ciphertext(c_prime=c_prime, c0=c0, c1=tuple(c1), c2=tuple(c2))
+    n = _ints(_unpack(blob, TAG_CIPHERTEXT))
+    return Ciphertext(c_prime=(n[1], n[2]), c0=(n[3], n[4]),
+                      c1=tuple(zip(n[5::4], n[6::4])),
+                      c2=tuple(zip(n[7::4], n[8::4])))
 
 
 def dump_token(tk: HveToken) -> bytes:
-    buf = io.BytesIO()
-    _header(buf, TAG_TOKEN)
-    _write_str(buf, tk.pattern)
-    _write_element(buf, tk.k0)
-    _write_int(buf, len(tk.positions))
-    for j, i in enumerate(tk.positions):
-        _write_int(buf, i)
-        _write_element(buf, tk.k1[j])
-        _write_element(buf, tk.k2[j])
-    return buf.getvalue()
+    fields = [tk.pattern, *tk.k0, len(tk.positions)]
+    for i, k1, k2 in zip(tk.positions, tk.k1, tk.k2):
+        fields += (i, *k1, *k2)
+    return _pack(TAG_TOKEN, fields)
 
 
 def load_token(blob: bytes) -> HveToken:
-    buf = io.BytesIO(blob)
-    _check_header(buf, TAG_TOKEN)
-    pattern = _read_str(buf)
-    k0 = _read_element(buf)
-    count = _read_int(buf)
-    positions, k1, k2 = [], [], []
-    for _ in range(count):
-        positions.append(_read_int(buf))
-        k1.append(_read_element(buf))
-        k2.append(_read_element(buf))
-    _check_end(buf)
+    fields = _unpack(blob, TAG_TOKEN)
     try:
-        check_pattern(pattern)
+        pattern = check_pattern(fields[0].decode("ascii"))
+    except UnicodeDecodeError as exc:
+        raise WireError("string is not ASCII") from exc
     except ValueError as exc:
         raise WireError(str(exc)) from exc
+    n = _ints(fields)
+    positions = n[4::5]
     if positions != [i for i, ch in enumerate(pattern) if ch != "*"]:
         raise WireError("token positions are not the pattern's non-star positions")
-    return HveToken(pattern=pattern, k0=k0, positions=tuple(positions),
-                    k1=tuple(k1), k2=tuple(k2))
+    return HveToken(pattern=pattern, k0=(n[1], n[2]), positions=tuple(positions),
+                    k1=tuple(zip(n[5::5], n[6::5])), k2=tuple(zip(n[7::5], n[8::5])))

@@ -154,6 +154,19 @@ def test_bad_flag_value_exits_with_one_line(capsys):
     assert err.startswith("error: --n: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("b", ["nan", "inf", "-1"])
+def test_bad_sigmoid_gradient_exits_with_one_line(tmp_path, capsys, b):
+    code, out, err = run_cli(capsys, "benchmark", "--n", "16", "--trials", "2",
+                             "--b", b)
+    assert (code, out) == (2, "")
+    assert err == "error: sigmoid gradient b must be finite and >= 0\n"
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"n = 16\ntrials = 2\nb = {b}\n")
+    code, out, err = run_cli(capsys, "benchmark", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: sigmoid gradient b must be finite and >= 0\n"
+
+
 def test_experiment_flags_come_from_config_fields():
     """One flag per ExperimentConfig field; bool fields are switches named
     after the non-default value."""

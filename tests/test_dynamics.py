@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from hvezones.dynamics import (ConvergenceError, StateSpace, TransitionMatrix,
-                               UniformChain, build_q_independent,
+from hvezones.dynamics import (ConvergenceError, StationaryDistribution,
+                               TransitionMatrix, UniformChain,
+                               build_q_independent,
                                build_q_independent_recursive, build_q_spatial,
                                cell_marginals, damp, evolve, stationary_exact,
                                stationary_monte_carlo)
@@ -34,21 +35,6 @@ S_O2 = np.array([0.4111, 0.1074, 0.3171, 0.1644])
 
 def two_cell_grid():
     return Grid.regular(2, [0.2, 0.8])
-
-
-def test_state_space_bitmask_ordering():
-    space = StateSpace(3)
-    assert space.size == 8
-    assert space.members(0) == ()
-    assert space.members(0b101) == (0, 2)
-    assert space.cardinality(0b110) == 2
-    assert space.index_of([0, 2]) == 0b101
-    # doubling the cell set repeats the ordering, then repeats it with the
-    # new cell added
-    small = StateSpace(2)
-    for state in range(small.size):
-        assert StateSpace(3).members(state) == small.members(state)
-        assert StateSpace(3).members(state + 4) == small.members(state) + (2,)
 
 
 def test_q2_worked_example():
@@ -239,21 +225,26 @@ def test_monte_carlo_validation():
 
 def test_cell_marginals_worked_example():
     s = stationary_exact(build_q_independent(two_cell_grid()))
-    m = cell_marginals(s, StateSpace(2))
+    m = cell_marginals(s)
     assert m[0] == pytest.approx(0.0862 + 0.1379, abs=5e-4)
     assert m[1] == pytest.approx(0.3448 + 0.1379, abs=5e-4)
 
 
 def test_cell_marginals_uniform_and_one_hot():
-    space = StateSpace(3)
     uniform = np.full(8, 1 / 8)
-    from hvezones.dynamics import StationaryDistribution
-    m = cell_marginals(StationaryDistribution(uniform, "power-iteration"), space)
-    assert np.allclose(m, 0.5)
+    m = cell_marginals(StationaryDistribution(uniform, "power-iteration"))
+    assert np.allclose(m, 0.5) and len(m) == 3
     one_hot = np.zeros(8)
-    one_hot[0] = 1.0
-    m = cell_marginals(StationaryDistribution(one_hot, "power-iteration"), space)
-    assert np.allclose(m, 0.0)
+    one_hot[0b101] = 1.0
+    m = cell_marginals(StationaryDistribution(one_hot, "power-iteration"))
+    assert m.tolist() == [1.0, 0.0, 1.0]
+    assert cell_marginals(StationaryDistribution(np.ones(1), "power-iteration")).size == 0
+
+
+@pytest.mark.parametrize("size", [3, 6, 12])
+def test_cell_marginals_rejects_length_not_a_power_of_two(size):
+    with pytest.raises(ValueError, match=f"length {size} is not a power of two"):
+        cell_marginals(StationaryDistribution(np.full(size, 1 / size), "power-iteration"))
 
 
 def test_spatial_weights_worked_row():
@@ -310,7 +301,7 @@ def test_spatial_single_cell_state_uses_plain_probability():
 def test_spatial_distance_floor():
     # two cells at the same location: distances collapse to the floor
     cells = [Cell(0, 0.5, 0.5, 0.5), Cell(1, 0.5, 0.5, 0.5)]
-    q = build_q_spatial(Grid(cells), distance_floor=1e-6).to_dense()
+    q = build_q_spatial(Grid(cells)).to_dense()
     assert np.isfinite(q).all()
     assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-12
 

@@ -1,9 +1,10 @@
-"""Byte-identity gate for the encoders, the minimizer, HVE queries and
-the experiment runners' CSV.
+"""Byte-identity gate for the encoders, the minimizer, HVE queries, wire
+blobs and the experiment runners' CSV.
 
 Each case hashes the repr of an encoder's `forward` tuple, of a
 minimized zone's (patterns, cost, exact), of every (value, pairings,
-message) of a fixed query corpus, or the CSV a CLI runner prints, on
+message) of a fixed query corpus, of the wire blobs of a fixed key,
+ciphertext and token corpus, or the CSV a CLI runner prints, on
 fixed seeds.  The pinned digests
 were taken before the code they cover was last optimized; a speed-up
 must reproduce them exactly, and a change that moves them on purpose has
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from hvezones import bench
+from hvezones import bench, wire
 from hvezones.cli import main
 from hvezones.grid import Grid
 from hvezones.hve import MessageSpace, encrypt, gen_token, query, setup
@@ -200,6 +201,34 @@ def test_query_digest():
                 out.append((r.value, r.pairings, r.message))
     assert sum(m is not None for _, _, m in out) == 463
     assert digest(out) == QUERY_DIGEST
+
+
+# (width, seed) of each scheme in the wire corpus; every public key
+# carries g_q = (0, 1), whose zero exponent is a zero-length field
+WIRE_SCHEMES = ((1, 11), (2, 12), (8, 13), (10, 14), (16, 15))
+WIRE_DIGEST = "ba31e4d31e8478d9a0d6dbed575ccf93de03c235de4129d5270f00062f0387df"
+
+
+def test_wire_digest():
+    blobs = []
+    for width, seed in WIRE_SCHEMES:
+        pk, sk = setup(width, seed=seed)
+        assert pk.g_q == (0, 1)
+        blobs.append(wire.dump_public_key(pk))
+        messages = MessageSpace(pk.group, [1, 2], seed=seed)
+        rng = random.Random(f"golden/wire/{width}/{seed}")
+        for attribute in ("0" * width, "1" * width,
+                          "".join(rng.choice("01") for _ in range(width))):
+            c = encrypt(pk, attribute, messages.element(rng.choice((1, 2))), rng)
+            blobs.append(wire.dump_ciphertext(c))
+        one = rng.randrange(width)
+        for pattern in ("*" * width,
+                        "*" * one + rng.choice("01") + "*" * (width - one - 1),
+                        "".join(rng.choice("01") for _ in range(width)),
+                        "".join(rng.choice("01*") for _ in range(width))):
+            blobs.append(wire.dump_token(gen_token(sk, pattern, rng)))
+    assert len(blobs) == 8 * len(WIRE_SCHEMES)
+    assert digest(blobs) == WIRE_DIGEST
 
 
 # CLI runs whose stdout is hashed; timing's wall_ms column is dropped

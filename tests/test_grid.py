@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvezones.grid import (Cell, Grid, GridEncoding, quadtree_levels,
+from hvezones.grid import (Cell, Grid, GridEncoding, min_width, quadtree_levels,
                            read_encoding, write_encoding)
 from hvezones.optimizers import hge_baseline
 
@@ -53,12 +53,22 @@ def test_encoding_invariants():
 
 
 def test_encoding_rejects_duplicates_and_bad_width():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^codeword 0 assigned twice$"):
         GridEncoding(n=2, k=1, forward=(0, 0), algorithm="x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^codeword 5 assigned twice$"):
+        GridEncoding(n=5, k=3, forward=(1, 5, 2, 5, 1), algorithm="x")
+    with pytest.raises(ValueError, match="width too small"):
         GridEncoding(n=5, k=2, forward=(0, 1, 2, 3, 4), algorithm="x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^codeword 2 out of range for width 1$"):
         GridEncoding(n=2, k=1, forward=(0, 2), algorithm="x")
+    with pytest.raises(ValueError, match="^codeword -1 out of range for width 2$"):
+        GridEncoding(n=3, k=2, forward=(0, -1, 3), algorithm="x")
+
+
+def test_minimal_width_is_ceil_log2():
+    assert [Grid.regular(n).k for n in (1, 2, 3, 4, 5, 8, 9)] == [1, 1, 2, 2, 3, 3, 4]
+    for n in range(2, 5000):
+        assert min_width(n) == math.ceil(math.log2(n))
 
 
 def test_encoding_file_round_trip():
