@@ -81,9 +81,9 @@ def sample_zone(probs: Sequence[float], fraction: float, rng: random.Random,
     the alternative sampling law.
     """
     n = len(probs)
-    count = math.ceil(fraction * n)
-    if not 0 < fraction <= 1 or count < 1:
+    if not 0 < fraction <= 1 or n < 1:
         raise ValueError(f"fraction {fraction} yields no cells")
+    count = math.ceil(fraction * n)
     if uniform:
         return frozenset(rng.sample(range(n), count))
     keyed = []

@@ -76,11 +76,6 @@ def expand_implicant(imp: Implicant) -> List[int]:
     return out
 
 
-def covers(imp: Implicant, minterm: int) -> bool:
-    mask, value = imp
-    return minterm & ~mask == value
-
-
 @dataclass(frozen=True)
 class TokenSet:
     """Minimized pattern cover of one alert zone under one encoding."""
@@ -105,8 +100,8 @@ def pairing_cost(ts: TokenSet) -> int:
 # --- prime implicant generation (exact path) ---
 
 def prime_implicants(k: int, minterms: Set[int], dontcares: Set[int]) -> List[Implicant]:
-    """All prime implicants of the (minterms | dontcares) function that
-    cover at least one real minterm."""
+    """All prime implicants of the (minterms | dontcares) function, those
+    covering only don't-cares included: no cover search ever picks one."""
     current: Set[Implicant] = {(0, m) for m in minterms | dontcares}
     primes: Set[Implicant] = set()
     while current:
@@ -127,7 +122,7 @@ def prime_implicants(k: int, minterms: Set[int], dontcares: Set[int]) -> List[Im
                         merged.add((mask, value | bit))
         primes |= current - merged
         current = nxt
-    return [p for p in primes if any(covers(p, m) for m in minterms)]
+    return list(primes)
 
 
 # --- cover selection over minterm bitmasks ---

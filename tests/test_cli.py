@@ -62,6 +62,20 @@ def test_tokens_zero_fraction_names_the_fraction(tmp_path, capsys):
     assert err == "error: fraction 0.0 yields no cells\n"
 
 
+@pytest.mark.parametrize("fraction,shown", [("inf", "inf"), ("1e400", "inf"),
+                                            ("nan", "nan")])
+def test_tokens_non_finite_fraction_exits_with_one_line(tmp_path, capsys,
+                                                         fraction, shown):
+    enc_path = tmp_path / "enc.tsv"
+    run_cli(capsys, "encode", "--n", "16", "--algorithm", "GO",
+            "--out", str(enc_path))
+    code, out, err = run_cli(capsys, "tokens", "--encoding", str(enc_path),
+                             "--fraction", fraction)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: fraction {shown} yields no cells\n"
+
+
 @pytest.mark.parametrize("cells,reason", [
     ("", "no cell ids given"),
     (" ", "no cell ids given"),

@@ -6,13 +6,14 @@ import random
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from hvezones.dynamics import (ConvergenceError, StationaryDistribution,
-                               TransitionMatrix, UniformChain,
-                               build_q_independent,
-                               build_q_independent_recursive, build_q_spatial,
-                               cell_marginals, damp, evolve, stationary_exact,
-                               stationary_monte_carlo)
+from hvezones.bench import predict_marginals
+from hvezones.dynamics import (DISTANCE_FLOOR, ConvergenceError,
+                               StationaryDistribution, TransitionMatrix,
+                               UniformChain, build_q_independent,
+                               build_q_spatial, cell_marginals, damp, evolve,
+                               stationary_exact, stationary_monte_carlo)
 from hvezones.grid import Cell, Grid
 
 Q2_EXPECTED = np.array([
@@ -63,14 +64,132 @@ def test_q3_block_structure():
     assert np.allclose(dense[4:7, :4][:, :3][:3], w[2] * np.eye(4)[:3, :3])
 
 
+def recursive_q_independent(grid):
+    """Block-recursive construction of the independent chain, densely:
+    doubling the cell set places the previous weight block on the diagonal
+    and p(new cell) times the identity off it."""
+    probs = grid.probabilities()
+    w = np.array([[0.0, probs[0]], [probs[0], 0.0]])
+    for m in range(1, grid.n):
+        eye = probs[m] * np.eye(w.shape[0])
+        w = np.block([[w, eye], [eye, w]])
+    w[-1, :] = 0.0
+    w[-1, 0] = 1.0
+    return w / w.sum(axis=1)[:, None]
+
+
 def test_recursive_construction_equivalence():
     rng = random.Random(4)
     for n in range(1, 9):
         probs = [rng.random() for _ in range(n)]
         grid = Grid.regular(n, probs)
         direct = build_q_independent(grid).to_dense()
-        recursive = build_q_independent_recursive(grid).to_dense()
-        assert np.allclose(direct, recursive)
+        assert np.allclose(direct, recursive_q_independent(grid))
+
+
+# --- oracle: the per-state builders the flip-chain arrays replaced ---
+
+def scalar_assemble(n, rows):
+    indptr, indices, data = [0], [], []
+    for row in rows:
+        for j, w in sorted(row):
+            indices.append(j)
+            data.append(w)
+        indptr.append(len(indices))
+    size = 1 << n
+    return sparse.csr_matrix(
+        (np.array(data), np.array(indices), np.array(indptr)),
+        shape=(size, size))
+
+
+def scalar_q_independent(grid):
+    n = grid.n
+    probs = grid.probabilities()
+    total = sum(probs)
+    if total <= 0.0:
+        raise ValueError("at least one cell probability must be positive")
+    rows = []
+    for state in range((1 << n) - 1):
+        row = [(state ^ (1 << j), probs[j] / total) for j in range(n)]
+        rows.append([(j, w) for j, w in row if w > 0.0])
+    rows.append([(0, 1.0)])
+    return scalar_assemble(n, rows)
+
+
+def scalar_q_spatial(grid):
+    n = grid.n
+    probs = grid.probabilities()
+    centers = grid.centers()
+    rows = []
+    for state in range((1 << n) - 1):
+        members = [j for j in range(n) if state >> j & 1]
+        weights = []
+        if not members:
+            for j in range(n):
+                weights.append((state ^ (1 << j), probs[j]))
+        else:
+            cx = sum(centers[j][0] for j in members) / len(members)
+            cy = sum(centers[j][1] for j in members) / len(members)
+            for j in range(n):
+                if len(members) == 1 and members[0] == j:
+                    w = probs[j]
+                else:
+                    d = math.hypot(centers[j][0] - cx, centers[j][1] - cy)
+                    w = probs[j] / max(d, DISTANCE_FLOOR)
+                weights.append((state ^ (1 << j), w))
+        total = sum(w for _, w in weights)
+        if total <= 0.0:
+            raise ValueError(f"state {state} has no outgoing weight")
+        rows.append([(j, w / total) for j, w in weights if w > 0.0])
+    rows.append([(0, 1.0)])
+    return scalar_assemble(n, rows)
+
+
+def oracle_grids():
+    """Random grids at n = 1..11: spread or coincident cells, probabilities
+    with and without zeros, and all zeros."""
+    rng = random.Random(11)
+    for n in range(1, 12):
+        spots = [(rng.random(), rng.random()) for _ in range(3)]
+        for coincident in (False, True):
+            for zeros in (0.0, 0.4, 1.0):
+                cells = []
+                for j in range(n):
+                    x, y = (rng.choice(spots) if coincident
+                            else (rng.random(), rng.random()))
+                    p = 0.0 if rng.random() < zeros else rng.random()
+                    cells.append(Cell(j, x, y, p))
+                yield Grid(cells)
+
+
+def build_or_error(build, grid):
+    try:
+        return build(grid)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("build,scalar", [
+    (build_q_independent, scalar_q_independent),
+    (build_q_spatial, scalar_q_spatial),
+])
+def test_flip_chain_matches_scalar_builders(build, scalar):
+    grids = list(oracle_grids())
+    errors = 0
+    for grid in grids:
+        got = build_or_error(build, grid)
+        want = build_or_error(scalar, grid)
+        if isinstance(want, str):
+            errors += 1
+            assert got == want
+            continue
+        base = got.base
+        assert np.array_equal(base.indptr, want.indptr)
+        assert np.array_equal(base.indices, want.indices)
+        assert np.abs(base.data - want.data).max() <= 1e-15
+        if build is build_q_independent:
+            assert np.array_equal(base.data, want.data)
+    assert 0 < errors < len(grids)
 
 
 def test_sparsity_pattern_exhaustive():
@@ -94,8 +213,8 @@ def test_row_stochasticity():
     for n in (2, 4, 6, 8):
         grid = Grid.regular(n, [rng.uniform(0.05, 1.0) for _ in range(n)])
         for q in (build_q_independent(grid), build_q_spatial(grid)):
-            assert np.abs(q.row_sums() - 1.0).max() < 1e-12
-            assert np.abs(damp(q, 0.85).row_sums() - 1.0).max() < 1e-12
+            for chain in (q, damp(q, 0.85)):
+                assert np.abs(chain.to_dense().sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_cap_enforced():
@@ -153,7 +272,6 @@ def test_periodic_chain_raises_and_damping_rescues():
     # hand-built period-two chain with an unbalanced feed: the empty and
     # one-cell states bounce while every other state dumps onto the empty
     # one, so power iteration from uniform oscillates forever undamped
-    from scipy import sparse
     dense = np.zeros((8, 8))
     dense[0, 1] = 1.0
     for state in range(1, 8):
@@ -331,3 +449,31 @@ def test_walk_ends_stream_equals_walk_end_calls(n, alpha):
             chain.walk_ends(start, 0.9, stream_rng, alpha=alpha), 500))
         assert calls == stream
         assert calls_rng.getstate() == stream_rng.getstate()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.85])
+@pytest.mark.parametrize("n", [1, 3, 4, 6])
+def test_uniform_chain_walks_follow_the_exact_chain(n, alpha):
+    """UniformChain is the independent chain on equal probabilities, damped
+    by alpha, so the end state of a walk with continue probability c has
+    the exact law sum_m (1 - c) c^m delta_start O^m."""
+    q = build_q_independent(Grid.regular(n, [0.5] * n))
+    o = q if alpha == 1.0 else damp(q, alpha)
+    chain, c, walks = UniformChain(n), 0.6, 100_000
+    size = 1 << n
+    membership = np.arange(size)[:, None] >> np.arange(n) & 1
+    for start in (0, chain.full, 0b0110 & chain.full):
+        dist = np.zeros(size)
+        dist[start] = 1.0
+        exact = np.zeros(size)
+        weight = 1.0 - c
+        while weight > 1e-15:
+            exact += weight * dist
+            dist = evolve(o, dist, 1)
+            weight *= c
+        rng = random.Random(f"uniform/{n}/{alpha}/{start}")
+        ends = itertools.islice(chain.walk_ends(start, c, rng, alpha=alpha), walks)
+        freq = np.bincount(list(ends), minlength=size) / walks
+        assert 0.5 * np.abs(freq - exact).sum() < 0.03
+        marginals = predict_marginals(n, start, chain, walks, c, alpha, rng)
+        assert np.abs(np.array(marginals) - exact @ membership).max() < 0.01
