@@ -9,10 +9,13 @@ different workloads.
 
 The dynamic protocol mirrors the evolving-zone experiment: an initial zone
 is observed, the true occupancy then evolves along the uniform-row Markov
-chain (every outgoing edge equally likely), and the dynamic side predicts
-the evolved per-cell marginals by Monte Carlo walks on that same chain
-before re-encoding once; the static side keeps the encoding built from the
+chain (every outgoing edge equally likely), and the dynamic side computes
+the evolved per-cell marginals of that same chain exactly before
+re-encoding once; the static side keeps the encoding built from the
 initial probabilities.  Both sides are costed on the same evolved zones.
+The exact marginals take two values, one for the observed zone's cells and
+one for the rest, so the re-encode's ties fall to the encoders' documented
+order: descending probability, then ascending cell id.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, FrozenSet, IO, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .dynamics import UniformChain
 from .grid import Grid, GridEncoding
 from .hve import MessageSpace, encrypt, gen_token, query, setup
@@ -35,10 +36,6 @@ from .optimizers import (Assignment, gray_optimizer, hge_baseline, msgo,
 from .tokens import TokenSet, minimize, pairing_cost
 
 ALGORITHMS = ("GO", "MSGO", "SGO", "HGE", "RANDOM")
-
-# Walks whose end states are tallied per numpy pass in `predict_marginals`;
-# larger chunks buy little speed and hold more end-state bytes at once.
-MARGINAL_CHUNK = 1024
 
 CSV_HEADER = ("algorithm,n,depth,a,b,fraction,noise,trial,"
               "pairing_cost,baseline_cost,improvement_pct,wall_ms,seed")
@@ -125,7 +122,6 @@ class ExperimentConfig:
     # dynamics parameters
     alpha: float = 0.85
     continue_prob: float = 0.6
-    walks: int = 100_000
     dyn_zones: int = 50
 
     def validate(self) -> None:
@@ -152,8 +148,8 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0.0 < self.continue_prob < 1.0:
             raise ValueError("continue probability must lie in (0, 1)")
-        if self.walks < 1 or self.dyn_zones < 1:
-            raise ValueError("walks and dyn_zones must be >= 1")
+        if self.dyn_zones < 1:
+            raise ValueError("dyn_zones must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -379,35 +375,26 @@ def predict_marginals(n: int, start_state: int, chain: UniformChain,
                       walks: int, continue_prob: float, alpha: float,
                       rng: random.Random) -> List[float]:
     """Per-cell probability of being alerted at the end of one geometric
-    evolution window, estimated from Monte Carlo walks off the observed
-    state.
+    evolution window off the observed state, computed exactly by
+    `chain.end_marginals`: two values, one for the observed zone's cells
+    and one for the rest.
 
-    End states stream from `chain.walk_ends` and are tallied per bit in
-    chunks of MARGINAL_CHUNK walks: each chunk's states become the rows of
-    a little-endian byte matrix whose unpacked bits are summed by column.
+    Nothing is sampled: `walks` and `rng` are accepted and ignored only
+    because existing callers still pass them.
     """
-    if walks < 1:
-        raise ValueError("walk count must be >= 1")
-    ends = chain.walk_ends(start_state, continue_prob, rng, alpha=alpha)
-    nbytes = (n + 7) // 8
-    ones = np.zeros(8 * nbytes, dtype=np.int64)
-    for done in range(0, walks, MARGINAL_CHUNK):
-        size = min(MARGINAL_CHUNK, walks - done)
-        raw = b"".join(e.to_bytes(nbytes, "little") for e in islice(ends, size))
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(size, nbytes)
-        ones += np.unpackbits(rows, axis=1, bitorder="little").sum(axis=0,
-                                                                   dtype=np.int64)
-    return (ones[:n] / walks).tolist()
+    if chain.n != n:
+        raise ValueError(f"chain has {chain.n} cells, expected {n}")
+    return chain.end_marginals(start_state, continue_prob, alpha).tolist()
 
 
 def run_dynamics(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
     """Static versus dynamic encodings under uniform zone evolution.
 
     Per trial: observe an initial zone, let the occupancy evolve along the
-    uniform chain, predict the evolved marginals with Monte Carlo walks,
-    re-encode once on those marginals, and cost both encodings on the same
-    evolved zones.  baseline_cost carries the static encoding's cost and
-    improvement_pct the dynamic gain over it.
+    uniform chain, compute its evolved marginals exactly, re-encode once
+    on those marginals, and cost both encodings on the same evolved zones.
+    baseline_cost carries the static encoding's cost and improvement_pct
+    the dynamic gain over it.
 
     The observed zone is drawn uniformly: under uniform evolution the
     occupancy has long since decoupled from the initial cell probabilities,
@@ -422,11 +409,8 @@ def run_dynamics(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
         for fraction in cfg.fractions:
             initial = _zone(cfg, probs, trial, fraction, uniform=True)
             start_state = sum(1 << c for c in initial)
-            rng_pred = random.Random(
-                child_seed(cfg.seed, "predict", trial, f"{fraction:.6f}"))
-            marginals = predict_marginals(
-                cfg.n, start_state, chain, cfg.walks, cfg.continue_prob,
-                cfg.alpha, rng_pred)
+            marginals = chain.end_marginals(start_state, cfg.continue_prob,
+                                            cfg.alpha).tolist()
             dynamic_enc = build_encoding(
                 cfg.algorithm, grid.with_probabilities(marginals), cfg, trial)
             rng_evolve = random.Random(

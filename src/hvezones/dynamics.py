@@ -14,9 +14,10 @@ centroid of the current zone, so nearby cells are likelier to join or
 leave.  Rows are normalized to keep the chain Markovian; damping mixes in
 a uniform jump, PageRank style, to force aperiodicity.  Both exact chains
 are built as arrays: one (2^n - 1) x n table of flip weights, normalized
-by row and packed straight into CSR form.  They stay capped at n <= 20
-cells; the spatial chain takes about 0.23 s at n=16, and 1.0 s with a
-405 MB peak RSS at n=18 (2-vCPU VM).
+by row and scattered straight into CSR form.  They stay capped at n <= 20
+cells; the spatial chain takes about 0.2 s at n=16, 0.6 s with a 180 MB
+peak RSS at n=18, and 2.9 s with a 600 MB peak RSS at n=20 (2-vCPU VM,
+fresh process).
 
 The stationary distribution comes from power iteration (which doubles as
 the marginal distribution of the chain after m steps) or from chained
@@ -26,6 +27,11 @@ vector, and end-state frequencies converge to it as the walk count grows.
 Restarting every walk at the empty state instead would estimate a
 geometrically weighted average of short-horizon distributions, which does
 not converge to the stationary vector no matter how many walks are run.
+
+The lazily expanded `UniformChain` flips a uniformly random cell, so its
+cells are exchangeable and its evolved marginals are exact at any n: the
+chain lumps onto (zone size, one tagged cell's bit), 2(n + 1) states
+(Kemeny & Snell, Finite Markov Chains, 1960, section 6.3).
 """
 
 from __future__ import annotations
@@ -109,25 +115,40 @@ def _flip_chain(n: int, weights: np.ndarray) -> TransitionMatrix:
     """Chain in which non-full state i flips cell j with weight
     weights[i, j], for a (2^n - 1) x n weight array; each row is normalized
     by its sum, zero entries are dropped, columns are kept in ascending
-    order, and the full state wraps to the empty one."""
+    order, and the full state wraps to the empty one.
+
+    Row i's columns i ^ 2^j ascend as the set bits from the top down, then
+    the unset bits from the bottom up, so cell j's rank in the row is the
+    number of set bits above j when bit j is set and popcount(i) + j -
+    popcount(i & (2^j - 1)) when it is not.  Entries are scattered to that
+    rank one cell at a time, with no sort and no full-size index array.
+    """
     totals = np.zeros(len(weights))
     for column in weights.T:    # left to right, like a scalar running sum
         totals += column
     dead = np.flatnonzero(totals <= 0.0)
     if dead.size:
         raise ValueError(f"state {dead[0]} has no outgoing weight")
-    cols = np.arange(len(weights))[:, None] ^ (1 << np.arange(n))
-    order = np.argsort(cols, axis=1)
-    cols = np.take_along_axis(cols, order, axis=1)
-    probs = np.take_along_axis(weights / totals[:, None], order, axis=1)
-    keep = probs > 0.0
-    row_nnz = np.append(keep.sum(axis=1), 1)    # the wrap row has one entry
+    states = np.arange(len(weights), dtype=np.int32)
+    ones = np.bitwise_count(states).astype(np.int32)
+    row_start = np.arange(0, weights.size, n)
+    data = np.empty(weights.size + 1)           # the wrap row's entry last
+    indices = np.empty(weights.size + 1, dtype=np.int32)
+    for j in range(n):
+        rank = np.where(states >> j & 1, np.bitwise_count(states >> (j + 1)),
+                        ones + j - np.bitwise_count(states & ((1 << j) - 1)))
+        at = row_start + rank
+        data[at] = weights[:, j] / totals
+        indices[at] = states ^ (1 << j)
+    data[-1], indices[-1] = 1.0, 0
+    keep = data > 0.0
+    row_nnz = np.append(keep[:-1].reshape(-1, n).sum(axis=1), 1)
+    if not keep.all():
+        data, indices = data[keep], indices[keep]
     indptr = np.concatenate(([0], np.cumsum(row_nnz)))
     size = 1 << n
-    base = sparse.csr_matrix(
-        (np.append(probs[keep], 1.0), np.append(cols[keep], 0), indptr),
-        shape=(size, size))
-    return TransitionMatrix(n, base)
+    return TransitionMatrix(n, sparse.csr_matrix((data, indices, indptr),
+                                                 shape=(size, size)))
 
 
 def build_q_independent(grid: Grid) -> TransitionMatrix:
@@ -156,13 +177,21 @@ def build_q_spatial(grid: Grid) -> TransitionMatrix:
     _check_cap(n)
     probs = np.array(grid.probabilities())
     centers = np.array(grid.centers())
-    members = np.arange((1 << n) - 1)[:, None] >> np.arange(n) & 1
+    states = np.arange((1 << n) - 1, dtype="<u4")
+    members = np.unpackbits(states.view(np.uint8).reshape(-1, 4), axis=1,
+                            bitorder="little")[:, :n].copy()
     count = members.sum(axis=1, keepdims=True)
     centroids = members @ centers / np.maximum(count, 1)
-    d = np.hypot(centers[:, 0] - centroids[:, :1], centers[:, 1] - centroids[:, 1:])
+    # one (2^n - 1) x n float array at a time besides the weights
+    w = centers[:, 0] - centroids[:, :1]
+    dy = centers[:, 1] - centroids[:, 1:]
+    np.hypot(w, dy, out=w)
+    del dy
+    np.divide(probs, np.maximum(w, DISTANCE_FLOOR, out=w), out=w)
     # the empty zone and the removal of a lone cell have no usable distance
-    plain = (count == 0) | ((members == 1) & (count == 1))
-    return _flip_chain(n, np.where(plain, probs, probs / np.maximum(d, DISTANCE_FLOOR)))
+    np.copyto(w, probs, where=(count == 0) | ((members == 1) & (count == 1)))
+    del members
+    return _flip_chain(n, w)
 
 
 def damp(q: TransitionMatrix, alpha: float) -> TransitionMatrix:
@@ -295,3 +324,67 @@ class UniformChain:
                 else:
                     state ^= 1 << randrange(n)
             yield state
+
+    def end_marginals(self, start: int, continue_prob: float,
+                      alpha: float = 1.0) -> np.ndarray:
+        """Exact probability that each cell is set at the end of one walk
+        off `start`, with the law of `walk_ends`: sum_l (1 - c) c^l of the
+        l-step distribution.
+
+        Cells are exchangeable, so the chain lumps onto (cardinality m,
+        bit b of one tagged cell), state b (n + 1) + m.  From (m, b) with
+        m < n the tagged cell flips with probability 1/n, another set cell
+        with (m - b)/n and another unset cell with (n - m - 1 + b)/n; the
+        full state (n, 1) wraps to (0, 0).  A damped step is alpha times
+        that flip plus 1 - alpha times the law of `getrandbits(n)`, under
+        which b is a fair coin and m - b is Binomial(n - 1, 1/2).  One
+        tagged cell in the zone and one outside it are carried side by
+        side as banded numpy steps, O(n) each, until c^l < 1e-17; every
+        cell gets its side's value.
+        """
+        n, size = self.n, self.n + 1
+        if not 0 <= start <= self.full:
+            raise ValueError(f"start state {start} outside 0..2^{n} - 1")
+        if not 0.0 <= continue_prob < 1.0:
+            raise ValueError("continue probability must lie in [0, 1)")
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError("alpha must lie in (0, 1]")
+        m = np.arange(size, dtype=float)
+        low, high = m < n, (m > 0) & (m < n)    # states that flip, b = 0 and 1
+        # flip probabilities out of each state: m + 1 and m - 1 keep b (the
+        # unreachable (n, 0) and (0, 1) get none, so no mass crosses planes),
+        # a tagged flip moves (m, 0) to (m + 1, 1) and (m, 1) to (m - 1, 0)
+        moves = alpha / n * np.stack((
+            np.append(np.where(low, n - m - 1, 0), np.where(high, n - m, 0)),
+            np.append(np.where(low, m, 0), np.where(high, m - 1, 0)),
+            np.append(low, high)))[:, :, None]
+        # Binomial(n - 1, 1/2) by its ratio recurrence, in logs, peak at 1
+        k = m[:-2]
+        logs = np.concatenate(([0.0], np.cumsum(np.log((n - 1 - k) / (k + 1.0)))))
+        binom = np.exp(logs - logs.max())[:, None]
+        jump = np.zeros((2 * size, 2))
+        jump[:n] = jump[size + 1:] = (1.0 - alpha) / 2.0 * binom / binom.sum()
+        # columns: a tagged cell in the zone, then one outside it; on an
+        # empty or full start one column sits on an unreachable state and
+        # is never read
+        count = start.bit_count()
+        dist = np.zeros((2 * size, 2))
+        dist[[size + count, count], [0, 1]] = 1.0
+        total = np.zeros_like(dist)
+        power = 1.0
+        while power >= 1e-17:
+            total += power * dist
+            flows = moves * dist
+            step = jump.copy()
+            step[1:] += flows[0, :-1]
+            step[:-1] += flows[1, 1:]
+            step[size + 1:] += flows[2, :n]
+            step[:n] += flows[2, size + 1:]
+            step[0] += alpha * dist[-1]     # the full state wraps to empty
+            dist = step
+            power *= continue_prob
+        inside, outside = (1.0 - continue_prob) * total[size:].sum(axis=0)
+        bits = np.unpackbits(np.frombuffer(start.to_bytes((n + 7) // 8, "little"),
+                                           dtype=np.uint8), bitorder="little")[:n]
+        return np.where(bits == 1, inside, outside)
+

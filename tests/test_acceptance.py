@@ -320,7 +320,7 @@ def test_09_noise_degradation():
 def test_10_dynamic_beats_static():
     cfg = ExperimentConfig(n=100, algorithm="GO", a=0.75, b=10.0,
                            fractions=(0.1, 0.2, 0.3, 0.4), trials=20,
-                           seed=MASTER_SEED, walks=100_000, dyn_zones=50,
+                           seed=MASTER_SEED, dyn_zones=50,
                            alpha=0.85, continue_prob=0.6)
     rows, failures = run_dynamics(cfg)
     assert not failures, failures

@@ -138,10 +138,11 @@ def test_benchmark_csv_deterministic(tmp_path, capsys):
 
 def test_config_file_errors(tmp_path, capsys):
     bad_key = tmp_path / "bad.cfg"
-    bad_key.write_text("granularity = 12\n")
-    code, _, err = run_cli(capsys, "benchmark", "--config", str(bad_key))
-    assert code == 2
-    assert "unknown key" in err
+    for line in ("granularity = 12\n", "walks = 100000\n"):  # walks: removed
+        bad_key.write_text(line)
+        code, _, err = run_cli(capsys, "benchmark", "--config", str(bad_key))
+        assert code == 2
+        assert "unknown key" in err
 
     bad_value = tmp_path / "bad2.cfg"
     bad_value.write_text("n = twelve\n")
@@ -191,7 +192,7 @@ def test_experiment_flags_come_from_config_fields():
         "-h", "--help", "--config", "--out", "--n", "--algorithm", "--depth",
         "--a", "--b", "--fractions", "--noise", "--trials", "--seed",
         "--uniform-zones", "--no-verify", "--dummy-cover", "--alpha",
-        "--continue-prob", "--walks", "--dyn-zones"}
+        "--continue-prob", "--dyn-zones"}
     cfg = make_config(build_parser().parse_args(
         ["benchmark", "--no-verify", "--dummy-cover"]))
     assert (cfg.verify, cfg.dummy_cover, cfg.uniform_zones) == (False, True, False)
@@ -210,7 +211,7 @@ def test_depth_sweep_and_timing_and_dynamics_smoke(capsys):
 
     code, out, _ = run_cli(capsys, "dynamics", "--n", "12", "--trials", "1",
                            "--fractions", "0.25", "--seed", "2",
-                           "--walks", "2000", "--dyn-zones", "5")
+                           "--dyn-zones", "5")
     assert code == 0
     assert out.splitlines()[1].startswith("GO-dynamic,12,")
 
@@ -231,14 +232,13 @@ def test_parse_config_file_types(tmp_path):
         "verify = off\n"
         "alpha = 0.9\n"
         "continue_prob = 0.5\n"
-        "walks = 1000\n"
         "dyn_zones = 20\n")
     values = parse_config_file(str(cfg))
     assert values["algorithm"] == "MSGO"
     assert values["fractions"] == (0.1, 0.2)
     assert values["uniform_zones"] is True
     assert values["verify"] is False
-    assert values["walks"] == 1000
+    assert values["dyn_zones"] == 20
 
 
 def test_benchmark_verification_failure_is_fatal(monkeypatch, capsys):
@@ -256,7 +256,7 @@ def test_benchmark_verification_failure_is_fatal(monkeypatch, capsys):
     monkeypatch.setattr(bench, "query", misreporting_query)
     for command, *extra in (("benchmark", "--algorithm", "GO"),
                             ("depth-sweep",),
-                            ("dynamics", "--walks", "500", "--dyn-zones", "3")):
+                            ("dynamics", "--dyn-zones", "3")):
         code, out, err = run_cli(capsys, command, "--n", "16", *extra,
                                  "--fractions", "0.5", "--trials", "2", "--seed", "3")
         assert code == 1, command

@@ -451,29 +451,60 @@ def test_walk_ends_stream_equals_walk_end_calls(n, alpha):
         assert calls_rng.getstate() == stream_rng.getstate()
 
 
+def exact_end_law(n, alpha, c, start):
+    """Law of a walk's end state, sum_l (1 - c) c^l delta_start O^l, on the
+    dense 2^n chain: the independent chain on equal probabilities, damped
+    by alpha, which UniformChain samples lazily."""
+    q = build_q_independent(Grid.regular(n, [0.5] * n))
+    o = q if alpha == 1.0 else damp(q, alpha)
+    dist = np.zeros(1 << n)
+    dist[start] = 1.0
+    exact = np.zeros(1 << n)
+    weight = 1.0 - c
+    while weight > 1e-18:
+        exact += weight * dist
+        dist = evolve(o, dist, 1)
+        weight *= c
+    return exact
+
+
+def membership(n):
+    return np.arange(1 << n)[:, None] >> np.arange(n) & 1
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.85])
 @pytest.mark.parametrize("n", [1, 3, 4, 6])
 def test_uniform_chain_walks_follow_the_exact_chain(n, alpha):
-    """UniformChain is the independent chain on equal probabilities, damped
-    by alpha, so the end state of a walk with continue probability c has
-    the exact law sum_m (1 - c) c^m delta_start O^m."""
-    q = build_q_independent(Grid.regular(n, [0.5] * n))
-    o = q if alpha == 1.0 else damp(q, alpha)
     chain, c, walks = UniformChain(n), 0.6, 100_000
-    size = 1 << n
-    membership = np.arange(size)[:, None] >> np.arange(n) & 1
     for start in (0, chain.full, 0b0110 & chain.full):
-        dist = np.zeros(size)
-        dist[start] = 1.0
-        exact = np.zeros(size)
-        weight = 1.0 - c
-        while weight > 1e-15:
-            exact += weight * dist
-            dist = evolve(o, dist, 1)
-            weight *= c
+        exact = exact_end_law(n, alpha, c, start)
         rng = random.Random(f"uniform/{n}/{alpha}/{start}")
         ends = itertools.islice(chain.walk_ends(start, c, rng, alpha=alpha), walks)
-        freq = np.bincount(list(ends), minlength=size) / walks
+        freq = np.bincount(list(ends), minlength=1 << n) / walks
         assert 0.5 * np.abs(freq - exact).sum() < 0.03
         marginals = predict_marginals(n, start, chain, walks, c, alpha, rng)
-        assert np.abs(np.array(marginals) - exact @ membership).max() < 0.01
+        assert np.abs(np.array(marginals) - exact @ membership(n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
+def test_end_marginals_equal_the_exact_chain(n):
+    """The lumped (cardinality, tagged bit) chain gives the 2^n chain's
+    marginals; n = 1 and n = 2 reach the full->empty wrap in one or two
+    flips."""
+    chain = UniformChain(n)
+    for start in (0, chain.full, random.Random(n).getrandbits(n)):
+        for alpha in (1.0, 0.85):
+            for c in (0.3, 0.6, 0.9):
+                expected = exact_end_law(n, alpha, c, start) @ membership(n)
+                got = chain.end_marginals(start, c, alpha)
+                assert np.abs(got - expected).max() < 1e-12, (start, alpha, c)
+
+
+def test_end_marginals_validation():
+    chain = UniformChain(4)
+    for start, c, alpha in ((-1, 0.6, 1.0), (16, 0.6, 1.0), (3, 1.0, 1.0),
+                            (3, -0.1, 1.0), (3, 0.6, 0.0), (3, 0.6, 1.5)):
+        with pytest.raises(ValueError):
+            chain.end_marginals(start, c, alpha)
+    # no continuation: the walk ends where it starts
+    assert chain.end_marginals(0b0101, 0.0).tolist() == [1.0, 0.0, 1.0, 0.0]

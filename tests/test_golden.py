@@ -244,9 +244,8 @@ CSV_DIGESTS = {
         "ac2a5714e0a0a66a1203fd7afdd695abe73e4c019842428df583db00d7f7290d",
     "depth-sweep --n 100 --trials 3 --seed 42":
         "315cfe6859e74daf2a63343ec35ed33c25af32b596283b3c5a02cabc65c69c4b",
-    "dynamics --n 64 --trials 2 --seed 5 --walks 2049 --algorithm SGO "
-    "--dyn-zones 10":
-        "5c33df4d783714bbe71ca4b6427563e34454bf7a46d32c549f34efe3232cbfc7",
+    "dynamics --n 64 --trials 2 --seed 5 --algorithm SGO --dyn-zones 10":
+        "d1cafc55f590d09c90aa0639600bd968acdfbf6ee55940529cb76b40c5ae1b22",
     "timing --n 300 --algorithm HGE --trials 3 --seed 4":
         "90c196a17f61824994e1a2fc719377a7063827f36d8d497e630ad91e3ccc0077",
 }
