@@ -7,7 +7,7 @@ dynamically evolving zones.
 """
 
 from .group import BilinearGroup, GroupError
-from .grid import Cell, Grid, GridEncoding, read_encoding, write_encoding
+from .grid import Grid, GridEncoding, read_encoding, write_encoding
 from .hve import (Ciphertext, HveToken, MessageSpace, PublicKey, QueryResult,
                   SecretKey, encrypt, gen_token, query, setup)
 from .optimizers import (OpCounter, gray_optimizer, hge_baseline, msgo,

@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Callable, FrozenSet, IO, List, Optional, Sequence, Tuple
 
 from .dynamics import UniformChain
-from .grid import Grid, GridEncoding
+from .grid import Grid, GridEncoding, min_width
 from .hve import MessageSpace, encrypt, gen_token, query, setup
 from .optimizers import (Assignment, gray_optimizer, hge_baseline, msgo,
                          random_baseline, sgo)
@@ -131,6 +131,9 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.depth is not None and self.depth < 1:
             raise ValueError("depth must be >= 1")
+        # MSGO clamps its depth to k; a GO pass has no ring beyond it
+        if self.algorithm == "GO" and (self.depth or 0) > min_width(self.n):
+            raise ValueError(f"depth {self.depth} outside [1, {min_width(self.n)}]")
         if not self.fractions:
             raise ValueError("at least one alert fraction is required")
         for f in self.fractions:

@@ -160,10 +160,9 @@ def build_q_independent(grid: Grid) -> TransitionMatrix:
     """
     n = grid.n
     _check_cap(n)
-    probs = np.array(grid.probabilities())
-    if probs.sum() <= 0.0:
+    if grid.p.sum() <= 0.0:
         raise ValueError("at least one cell probability must be positive")
-    return _flip_chain(n, np.broadcast_to(probs, ((1 << n) - 1, n)))
+    return _flip_chain(n, np.broadcast_to(grid.p, ((1 << n) - 1, n)))
 
 
 def build_q_spatial(grid: Grid) -> TransitionMatrix:
@@ -175,16 +174,15 @@ def build_q_spatial(grid: Grid) -> TransitionMatrix:
     """
     n = grid.n
     _check_cap(n)
-    probs = np.array(grid.probabilities())
-    centers = np.array(grid.centers())
+    probs = grid.p
     states = np.arange((1 << n) - 1, dtype="<u4")
     members = np.unpackbits(states.view(np.uint8).reshape(-1, 4), axis=1,
                             bitorder="little")[:, :n].copy()
     count = members.sum(axis=1, keepdims=True)
-    centroids = members @ centers / np.maximum(count, 1)
+    centroids = members @ np.column_stack((grid.x, grid.y)) / np.maximum(count, 1)
     # one (2^n - 1) x n float array at a time besides the weights
-    w = centers[:, 0] - centroids[:, :1]
-    dy = centers[:, 1] - centroids[:, 1:]
+    w = grid.x - centroids[:, :1]
+    dy = grid.y - centroids[:, 1:]
     np.hypot(w, dy, out=w)
     del dy
     np.divide(probs, np.maximum(w, DISTANCE_FLOOR, out=w), out=w)

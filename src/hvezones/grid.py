@@ -1,7 +1,8 @@
 """Spatial grid of cells and cell-to-codeword encodings.
 
-A grid holds n cells with centers in the unit square and per-cell alert
-probabilities.  An encoding is an injection of cell ids into k-bit
+A grid holds n cells as three read-only float64 arrays indexed by cell
+id: the centers `x` and `y` in the unit square and the alert
+probabilities `p`.  An encoding is an injection of cell ids into k-bit
 codewords; when n is not a power of two the 2^k - n unassigned codewords
 are dummies, usable as don't-cares during token minimization.
 """
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, IO, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 
 def min_width(n: int) -> int:
     """Codeword width of a minimal encoding of n cells: ceil(log2 n), at
@@ -19,30 +22,38 @@ def min_width(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    x: float
-    y: float
-    p: float
+def _read_only(values: Sequence[float]) -> np.ndarray:
+    """`values` as a read-only float64 array; one that already is one is
+    shared rather than copied."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable):
+        return values
+    array = np.array(values, dtype=np.float64)
+    array.setflags(write=False)
+    return array
 
 
 class Grid:
-    """Cells with dense ids [0, n), unit-square centers and probabilities."""
+    """n >= 1 cells: centers `x`, `y` and probabilities `p` in [0, 1],
+    read-only float64 arrays indexed by cell id."""
 
-    def __init__(self, cells: Sequence[Cell]):
-        if not cells:
+    def __init__(self, x: Sequence[float], y: Sequence[float],
+                 p: Sequence[float]):
+        x, y, p = _read_only(x), _read_only(y), _read_only(p)
+        if not (x.ndim == y.ndim == p.ndim == 1 and x.size == y.size == p.size):
+            raise ValueError(f"x, y and p must be vectors of one length, "
+                             f"not shapes {x.shape}, {y.shape}, {p.shape}")
+        if not p.size:
             raise ValueError("grid needs at least one cell")
-        if [c.id for c in cells] != list(range(len(cells))):
-            raise ValueError("cell ids must be dense and ordered 0..n-1")
-        for c in cells:
-            if not 0.0 <= c.p <= 1.0:
-                raise ValueError(f"cell {c.id} probability {c.p} outside [0, 1]")
-        self.cells: Tuple[Cell, ...] = tuple(cells)
+        bad = ~((p >= 0.0) & (p <= 1.0))        # NaN included
+        if bad.any():
+            cell = int(bad.argmax())
+            raise ValueError(f"cell {cell} probability {p[cell]} outside [0, 1]")
+        self.x, self.y, self.p = x, y, p
 
     @property
     def n(self) -> int:
-        return len(self.cells)
+        return self.p.size
 
     @property
     def k(self) -> int:
@@ -50,16 +61,11 @@ class Grid:
         return min_width(self.n)
 
     def probabilities(self) -> List[float]:
-        return [c.p for c in self.cells]
-
-    def centers(self) -> List[Tuple[float, float]]:
-        return [(c.x, c.y) for c in self.cells]
+        return self.p.tolist()
 
     def with_probabilities(self, probs: Sequence[float]) -> "Grid":
         """Same geometry, new probability vector."""
-        if len(probs) != self.n:
-            raise ValueError("probability vector length mismatch")
-        return Grid([Cell(c.id, c.x, c.y, float(p)) for c, p in zip(self.cells, probs)])
+        return Grid(self.x, self.y, probs)
 
     @classmethod
     def regular(cls, n: int, probs: Optional[Sequence[float]] = None) -> "Grid":
@@ -69,20 +75,9 @@ class Grid:
             raise ValueError("n must be >= 1")
         cols = math.ceil(math.sqrt(n))
         rows = math.ceil(n / cols)
-        if probs is None:
-            probs = [0.5] * n
-        if len(probs) != n:
-            raise ValueError("probability vector length mismatch")
-        cells = []
-        for i in range(n):
-            r, c = divmod(i, cols)
-            cells.append(Cell(
-                id=i,
-                x=(c + 0.5) / cols,
-                y=1.0 - (r + 0.5) / rows,
-                p=float(probs[i]),
-            ))
-        return cls(cells)
+        r, c = np.divmod(np.arange(n), cols)
+        return cls((c + 0.5) / cols, 1.0 - (r + 0.5) / rows,
+                   np.full(n, 0.5) if probs is None else probs)
 
 
 @dataclass(frozen=True)
@@ -129,10 +124,6 @@ class GridEncoding:
     def dummies(self) -> List[int]:
         """Codeword values that map to no cell, ascending."""
         return [v for v in range(self.space) if v not in self._reverse]
-
-    @property
-    def dummy_count(self) -> int:
-        return self.space - self.n
 
 
 def quadtree_levels(n: int) -> int:

@@ -90,10 +90,6 @@ class Ciphertext:
     def width(self) -> int:
         return len(self.c1)
 
-    @property
-    def component_count(self) -> int:
-        return 2 * self.width + 2
-
 
 @dataclass(frozen=True)
 class HveToken:

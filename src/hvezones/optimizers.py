@@ -37,18 +37,27 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .gray import cycle_node_values, ring_values
-from .grid import Cell, Grid, GridEncoding, quadtree_levels
+from .grid import Grid, GridEncoding, quadtree_levels
 
 
-# Cells labelled per array pass in the hierarchical baseline: whole-grid
-# arrays at n=50625 raised the alert round's peak RSS by about 1 MB over
-# the scalar loop, chunks of this size by about half that.
-HGE_CHUNK = 4096
+def _global_order(grid: Grid) -> Tuple[np.ndarray, List[float]]:
+    """The global cell order (descending probability, ascending id) and
+    the cells' log-probabilities (-inf at zero), over the grid padded with
+    zero-probability dummies to 2^k cells.
+
+    math.log, not np.log: np.log may differ in the last bit, which would
+    reorder near-ties between cycle weights.
+    """
+    padded = np.zeros(1 << grid.k)
+    padded[:grid.n] = grid.p
+    order = np.argsort(-padded, kind="stable")
+    logp = [math.log(p) if p > 0.0 else -math.inf for p in padded.tolist()]
+    return order, logp
 
 
 class OpCounter:
@@ -76,10 +85,8 @@ class Assignment:
         self.n = grid.n
         self.k = grid.k
         self.space = 1 << self.k
-        probs = grid.probabilities()
-        padded = probs + [0.0] * (self.space - self.n)
-        self.logp = [math.log(p) if p > 0.0 else -math.inf for p in padded]
-        self._order = sorted(range(self.space), key=lambda c: (-padded[c], c))
+        order, self.logp = _global_order(grid)
+        self._order = order.tolist()
         self._ptr = 0
         self.cell_at: List[Optional[int]] = [None] * self.space
         self.index_of: List[Optional[int]] = [None] * self.space
@@ -252,12 +259,8 @@ def sgo(grid: Grid, counter: Optional[OpCounter] = None) -> GridEncoding:
     """
     k = grid.k
     space = 1 << k
-    padded = grid.probabilities() + [0.0] * (space - grid.n)
-    order = np.argsort(-np.array(padded), kind="stable")
-    # math.log as in Assignment.logp: np.log may differ in the last bit,
-    # which would reorder near-ties; indexed by claim position
-    neg_logp = -np.array([math.log(p) if p > 0.0 else -math.inf
-                          for p in padded])[order]
+    order, logp = _global_order(grid)
+    neg_logp = -np.array(logp)[order]     # indexed by claim position
     # codewords grouped by Hamming weight, ascending value within a ring
     weight = np.zeros(space, dtype=np.int8)
     for b in range(k):
@@ -285,11 +288,9 @@ def sgo(grid: Grid, counter: Optional[OpCounter] = None) -> GridEncoding:
                         algorithm="SGO")
 
 
-def _quad_labels(cells: Sequence[Cell], levels: int) -> np.ndarray:
-    """Root-to-leaf label paths of all cells, one tree level at a time:
-    2 Gray bits per level, NW NE SE SW."""
-    xs = np.array([c.x for c in cells], dtype=np.float64)
-    ys = np.array([c.y for c in cells], dtype=np.float64)
+def _quad_labels(xs: np.ndarray, ys: np.ndarray, levels: int) -> np.ndarray:
+    """Root-to-leaf label paths of the points (xs, ys), one tree level at
+    a time: 2 Gray bits per level, NW NE SE SW."""
     x0, y0 = np.zeros_like(xs), np.zeros_like(ys)
     x1, y1 = np.ones_like(xs), np.ones_like(ys)
     labels = np.zeros(xs.shape, dtype=np.int64)
@@ -319,10 +320,7 @@ def hge_baseline(grid: Grid) -> GridEncoding:
     """
     levels = quadtree_levels(grid.n)
     while levels <= 24:
-        leaves = []
-        for start in range(0, grid.n, HGE_CHUNK):
-            chunk = grid.cells[start:start + HGE_CHUNK]
-            leaves += _quad_labels(chunk, levels).tolist()
+        leaves = _quad_labels(grid.x, grid.y, levels).tolist()
         if len(set(leaves)) == grid.n:
             return GridEncoding(n=grid.n, k=2 * levels, forward=tuple(leaves),
                                 algorithm="HGE")

@@ -169,6 +169,22 @@ def test_bad_flag_value_exits_with_one_line(capsys):
     assert err.startswith("error: --n: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["encode", "benchmark", "depth-sweep",
+                                     "timing", "dynamics"])
+def test_go_depth_beyond_width_exits_with_one_line(capsys, command):
+    """A GO pass has no ring beyond k, so the config is refused up front
+    rather than failing every trial; MSGO clamps its depth to k."""
+    code, out, err = run_cli(capsys, command, "--algorithm", "GO", "--n", "5",
+                             "--depth", "99", "--trials", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: depth 99 outside [1, 3]\n"
+    for algorithm, depth in (("GO", "3"), ("MSGO", "99")):
+        code, out, err = run_cli(capsys, command, "--algorithm", algorithm,
+                                 "--n", "5", "--depth", depth, "--trials", "1",
+                                 "--fractions", "0.4", "--dyn-zones", "2")
+        assert (code, err) == (0, ""), (algorithm, err)
+
+
 @pytest.mark.parametrize("b", ["nan", "inf", "-1"])
 def test_bad_sigmoid_gradient_exits_with_one_line(tmp_path, capsys, b):
     code, out, err = run_cli(capsys, "benchmark", "--n", "16", "--trials", "2",

@@ -14,7 +14,7 @@ from hvezones.dynamics import (DISTANCE_FLOOR, ConvergenceError,
                                UniformChain, build_q_independent,
                                build_q_spatial, cell_marginals, damp, evolve,
                                stationary_exact, stationary_monte_carlo)
-from hvezones.grid import Cell, Grid
+from hvezones.grid import Grid
 
 Q2_EXPECTED = np.array([
     [0.0, 0.2, 0.8, 0.0],
@@ -119,7 +119,7 @@ def scalar_q_independent(grid):
 def scalar_q_spatial(grid):
     n = grid.n
     probs = grid.probabilities()
-    centers = grid.centers()
+    centers = list(zip(grid.x.tolist(), grid.y.tolist()))
     rows = []
     for state in range((1 << n) - 1):
         members = [j for j in range(n) if state >> j & 1]
@@ -153,13 +153,15 @@ def oracle_grids():
         spots = [(rng.random(), rng.random()) for _ in range(3)]
         for coincident in (False, True):
             for zeros in (0.0, 0.4, 1.0):
-                cells = []
+                xs, ys, probs = [], [], []
                 for j in range(n):
                     x, y = (rng.choice(spots) if coincident
                             else (rng.random(), rng.random()))
                     p = 0.0 if rng.random() < zeros else rng.random()
-                    cells.append(Cell(j, x, y, p))
-                yield Grid(cells)
+                    xs.append(x)
+                    ys.append(y)
+                    probs.append(p)
+                yield Grid(xs, ys, probs)
 
 
 def build_or_error(build, grid):
@@ -368,20 +370,19 @@ def test_cell_marginals_rejects_length_not_a_power_of_two(size):
 def test_spatial_weights_worked_row():
     # three cells; the row of state {v0, v1} has exactly three non-zeros,
     # proportional to p1/d(v1,c), p0/d(v0,c), p2/d(v2,c)
-    cells = [Cell(0, 0.1, 0.5, 0.4), Cell(1, 0.9, 0.5, 0.3), Cell(2, 0.5, 0.9, 0.2)]
-    grid = Grid(cells)
+    grid = Grid([0.1, 0.9, 0.5], [0.5, 0.5, 0.9], [0.4, 0.3, 0.2])
     q = build_q_spatial(grid).to_dense()
     state = 0b011
     row = q[state]
     nz = {j: row[j] for j in range(8) if row[j] > 0}
     assert set(nz) == {0b010, 0b001, 0b111}
     cx, cy = (0.1 + 0.9) / 2, 0.5
-    def dist(c):
-        return math.hypot(c.x - cx, c.y - cy)
+    def dist(j):
+        return math.hypot(grid.x[j] - cx, grid.y[j] - cy)
     weights = {
-        0b010: 0.4 / dist(cells[0]),   # remove v0
-        0b001: 0.3 / dist(cells[1]),   # remove v1
-        0b111: 0.2 / dist(cells[2]),   # add v2
+        0b010: 0.4 / dist(0),   # remove v0
+        0b001: 0.3 / dist(1),   # remove v1
+        0b111: 0.2 / dist(2),   # add v2
     }
     beta = 1.0 / sum(weights.values())
     for state_to, weight in weights.items():
@@ -392,9 +393,8 @@ def test_spatial_symmetric_case_uniform_row():
     # four equal-probability cells at the corners of a square: every cell
     # is equidistant from the centroid of opposite pairs, so the row of a
     # diagonal two-cell state is uniform over its four transitions
-    cells = [Cell(0, 0.25, 0.25, 0.5), Cell(1, 0.75, 0.25, 0.5),
-             Cell(2, 0.75, 0.75, 0.5), Cell(3, 0.25, 0.75, 0.5)]
-    q = build_q_spatial(Grid(cells)).to_dense()
+    grid = Grid([0.25, 0.75, 0.75, 0.25], [0.25, 0.25, 0.75, 0.75], [0.5] * 4)
+    q = build_q_spatial(grid).to_dense()
     state = 0b0101  # cells 0 and 2, a diagonal: centroid is the square center
     row = q[state]
     targets = [state ^ 1, state ^ 2, state ^ 4, state ^ 8]
@@ -404,8 +404,7 @@ def test_spatial_symmetric_case_uniform_row():
 
 
 def test_spatial_single_cell_state_uses_plain_probability():
-    cells = [Cell(0, 0.2, 0.2, 0.6), Cell(1, 0.8, 0.8, 0.3)]
-    q = build_q_spatial(Grid(cells)).to_dense()
+    q = build_q_spatial(Grid([0.2, 0.8], [0.2, 0.8], [0.6, 0.3])).to_dense()
     # state {v0}: removal weight is p(v0) itself; addition of v1 uses the
     # distance to v0's center
     d = math.hypot(0.8 - 0.2, 0.8 - 0.2)
@@ -418,8 +417,7 @@ def test_spatial_single_cell_state_uses_plain_probability():
 
 def test_spatial_distance_floor():
     # two cells at the same location: distances collapse to the floor
-    cells = [Cell(0, 0.5, 0.5, 0.5), Cell(1, 0.5, 0.5, 0.5)]
-    q = build_q_spatial(Grid(cells)).to_dense()
+    q = build_q_spatial(Grid([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])).to_dense()
     assert np.isfinite(q).all()
     assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-12
 

@@ -3,31 +3,75 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvezones.grid import (Cell, Grid, GridEncoding, min_width, quadtree_levels,
+from hvezones.grid import (Grid, GridEncoding, min_width, quadtree_levels,
                            read_encoding, write_encoding)
 from hvezones.optimizers import hge_baseline
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid([])
-    with pytest.raises(ValueError):
-        Grid([Cell(1, 0.5, 0.5, 0.5)])  # ids must start at 0
-    with pytest.raises(ValueError):
-        Grid([Cell(0, 0.5, 0.5, 1.5)])  # probability out of range
+    with pytest.raises(ValueError, match="^grid needs at least one cell$"):
+        Grid([], [], [])
+    with pytest.raises(ValueError, match="one length"):
+        Grid([0.5, 0.5], [0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="one length"):
+        Grid([0.5], [0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="one length"):
+        Grid([[0.5]], [[0.5]], [[0.5]])
+
+
+@pytest.mark.parametrize("bad,shown", [(math.nan, "nan"), (1.5, "1.5"),
+                                       (-0.1, "-0.1")])
+def test_grid_refuses_probability_outside_unit_interval(bad, shown):
+    """The first offending cell is named, whatever follows it."""
+    probs = [0.5, 1.0, bad, 0.0, 2.0, math.nan]
+    xs = [0.5] * len(probs)
+    with pytest.raises(ValueError,
+                       match=rf"^cell 2 probability {shown} outside \[0, 1\]$"):
+        Grid(xs, xs, probs)
+    with pytest.raises(ValueError, match="^cell 2 probability"):
+        Grid.regular(len(probs), probs)
+    with pytest.raises(ValueError, match="^cell 2 probability"):
+        Grid.regular(len(probs)).with_probabilities(probs)
+
+
+def test_grid_arrays_are_read_only():
+    xs = np.array([0.1, 0.9])
+    g = Grid(xs, [0.5, 0.5], [0.2, 0.8])
+    for array in (g.x, g.y, g.p):
+        assert array.dtype == np.float64 and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.3
+    xs[0] = 0.3                      # the caller's array is copied, not kept
+    assert g.x.tolist() == [0.1, 0.9]
+    assert g.probabilities() == [0.2, 0.8]
 
 
 def test_regular_grid_geometry():
     g = Grid.regular(4)
     assert g.n == 4 and g.k == 2
     # row-major from the top-left: cell 0 is NW, cell 3 SE
-    assert g.cells[0].x < g.cells[1].x
-    assert g.cells[0].y > g.cells[2].y
-    assert all(0 < c.x < 1 and 0 < c.y < 1 for c in g.cells)
+    assert g.x[0] < g.x[1]
+    assert g.y[0] > g.y[2]
+    assert ((0 < g.x) & (g.x < 1) & (0 < g.y) & (g.y < 1)).all()
+    assert g.probabilities() == [0.5] * 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1000, 50625])
+def test_regular_grid_coordinates_equal_the_scalar_formula(n):
+    cols = math.ceil(math.sqrt(n))
+    rows = math.ceil(n / cols)
+    xs, ys = [], []
+    for i in range(n):
+        r, c = divmod(i, cols)
+        xs.append((c + 0.5) / cols)
+        ys.append(1.0 - (r + 0.5) / rows)
+    g = Grid.regular(n)
+    assert g.x.tolist() == xs and g.y.tolist() == ys   # bit for bit
 
 
 def test_grid_k_values():
@@ -40,13 +84,17 @@ def test_grid_k_values():
 def test_with_probabilities_keeps_geometry():
     g = Grid.regular(6, [0.1] * 6)
     h = g.with_probabilities([0.2] * 6)
-    assert h.centers() == g.centers()
+    assert h.x is g.x and h.y is g.y
     assert h.probabilities() == [0.2] * 6
+    assert g.probabilities() == [0.1] * 6
+    for probs in ([0.2] * 5, [0.2] * 7):
+        with pytest.raises(ValueError, match="one length"):
+            g.with_probabilities(probs)
 
 
 def test_encoding_invariants():
     enc = GridEncoding(n=3, k=2, forward=(0, 2, 3), algorithm="x")
-    assert enc.dummy_count == 1
+    assert enc.space - enc.n == 1
     assert enc.dummies() == [1]
     assert enc.cell_at(2) == 1
     assert enc.cell_at(1) is None
@@ -138,8 +186,7 @@ def test_hge_width_is_the_widest_readable(n):
 def test_deepened_hge_encoding_is_refused_by_the_writer():
     """HGE deepens its tree for cells that share a leaf; such a width is
     beyond the file format, and writing fails before any output."""
-    grid = Grid([Cell(0, 0.3, 0.6, 0.5), Cell(1, 0.3 + 1e-4, 0.6, 0.5),
-                 Cell(2, 0.9, 0.1, 0.5), Cell(3, 0.1, 0.1, 0.5)])
+    grid = Grid([0.3, 0.3 + 1e-4, 0.9, 0.1], [0.6, 0.6, 0.1, 0.1], [0.5] * 4)
     enc = hge_baseline(grid)
     assert enc.k > 2 * quadtree_levels(grid.n)
     buf = io.StringIO()

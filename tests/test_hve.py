@@ -159,7 +159,8 @@ def test_ciphertext_component_count():
     pk, _, messages = make_scheme(6)
     rng = random.Random(0)
     c = encrypt(pk, "010101", messages.element(3), rng)
-    assert c.component_count == 2 * 6 + 2
+    components = (c.c_prime, c.c0, *c.c1, *c.c2)
+    assert len(components) == 2 * c.width + 2 == 2 * 6 + 2
     assert len(c.c1) == len(c.c2) == 6
 
 

@@ -4,16 +4,17 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvezones import bench
 from hvezones.gray import cycle_node_values, ring_values
-from hvezones.grid import Cell, Grid
-from hvezones.optimizers import (Assignment, OpCounter, _quad_labels,
-                                 gray_optimizer, hge_baseline, msgo,
-                                 random_baseline, sgo)
+from hvezones.grid import Grid
+from hvezones.optimizers import (Assignment, OpCounter, _global_order,
+                                 _quad_labels, gray_optimizer, hge_baseline,
+                                 msgo, random_baseline, sgo)
 
 
 def top_cell(probs):
@@ -157,13 +158,28 @@ def test_msgo_padding_and_determinism():
     enc1 = msgo(g, depth=2)
     enc2 = msgo(g, depth=2)
     assert enc1.forward == enc2.forward
-    assert enc1.k == 3 and enc1.dummy_count == 3
+    assert enc1.k == 3 and enc1.space - enc1.n == 3
     # MSGO draws nothing, so the inert rng_seed keyword cannot matter
     assert msgo(g, depth=2, rng_seed=9).forward == enc1.forward
     assert msgo(g, depth=2, rng_seed=10, counter=OpCounter()).forward == \
         enc1.forward
     with pytest.raises(ValueError):
         msgo(g, depth=0)
+
+
+@pytest.mark.parametrize("n", [1, 5, 17, 100])
+def test_global_order_matches_the_sorted_key(n):
+    """The encoders' one global order equals a Python sort by (descending
+    probability, ascending id) over the padded cells, ties and zeros
+    included; log-probabilities are math.log's."""
+    rng = random.Random(n)
+    probs = [rng.choice((0.0, 0.25, 0.5, rng.random())) for _ in range(n)]
+    grid = Grid.regular(n, probs)
+    padded = probs + [0.0] * ((1 << grid.k) - n)
+    order, logp = _global_order(grid)
+    assert order.tolist() == sorted(range(len(padded)),
+                                    key=lambda c: (-padded[c], c))
+    assert logp == [math.log(p) if p > 0.0 else -math.inf for p in padded]
 
 
 def test_sgo_hand_example():
@@ -205,7 +221,7 @@ def test_hge_three_levels():
 def test_hge_pads_non_power_of_four():
     enc = hge_baseline(Grid.regular(100))
     assert enc.k == 8
-    assert enc.dummy_count == 156
+    assert enc.space - enc.n == 156
 
 
 def test_random_baseline_seeds():
@@ -229,7 +245,7 @@ def test_every_optimizer_yields_valid_minimal_width_encoding(n):
         assert enc.n == n
         assert enc.k == want_k
         assert len(set(enc.forward)) == n
-        assert enc.dummy_count == (1 << want_k) - n
+        assert enc.space - enc.n == (1 << want_k) - n
 
 
 def test_spot_sizes_bijection():
@@ -341,7 +357,7 @@ def quad_leaf(x, y, levels):
 def scalar_hge_forward(grid):
     levels = max(1, math.ceil(math.log(grid.n, 4))) if grid.n > 1 else 1
     while True:
-        leaves = [quad_leaf(c.x, c.y, levels) for c in grid.cells]
+        leaves = [quad_leaf(x, y, levels) for x, y in zip(grid.x, grid.y)]
         if len(set(leaves)) == grid.n:
             return 2 * levels, tuple(leaves)
         levels += 1
@@ -354,9 +370,9 @@ def test_quad_labels_match_scalar_oracle():
     points += [(x, y) for x in dyadic for y in dyadic]
     points += [(0.5, 0.5), (0.25, 0.75), (0.75, 0.25), (0.5 - 1e-17, 0.5),
                (math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0))]
-    cells = [Cell(i, x, y, 0.5) for i, (x, y) in enumerate(points)]
+    xs, ys = np.array(points).T
     for levels in (1, 2, 3, 5, 12, 24):
-        assert _quad_labels(cells, levels).tolist() == \
+        assert _quad_labels(xs, ys, levels).tolist() == \
             [quad_leaf(x, y, levels) for x, y in points]
 
 
@@ -366,7 +382,8 @@ def test_quad_labels_match_scalar_oracle():
     [(0.5, 0.5), (math.nextafter(0.5, 0.0), 0.5)],
 ])
 def test_hge_matches_scalar_oracle(points):
-    grid = Grid([Cell(i, x, y, 0.5) for i, (x, y) in enumerate(points)])
+    xs, ys = zip(*points)
+    grid = Grid(xs, ys, [0.5] * len(points))
     enc = hge_baseline(grid)
     assert (enc.k, enc.forward) == scalar_hge_forward(grid)
 
@@ -374,8 +391,8 @@ def test_hge_matches_scalar_oracle(points):
 def test_hge_matches_scalar_oracle_on_regular_and_random_grids():
     rng = random.Random(13)
     grids = [Grid.regular(n) for n in (1, 2, 4, 15, 16, 100, 1000, 4097)]
-    grids.append(Grid([Cell(i, rng.random(), rng.random(), 0.5)
-                       for i in range(200)]))
+    xs, ys = zip(*[(rng.random(), rng.random()) for _ in range(200)])
+    grids.append(Grid(xs, ys, [0.5] * 200))
     for grid in grids:
         enc = hge_baseline(grid)
         assert (enc.k, enc.forward) == scalar_hge_forward(grid)
