@@ -8,14 +8,17 @@ baseline encodings (paired design) so improvement percentages never mix
 different workloads.
 
 The dynamic protocol mirrors the evolving-zone experiment: an initial zone
-is observed, the true occupancy then evolves along the uniform-row Markov
-chain (every outgoing edge equally likely), and the dynamic side computes
-the evolved per-cell marginals of that same chain exactly before
-re-encoding once; the static side keeps the encoding built from the
-initial probabilities.  Both sides are costed on the same evolved zones.
-The exact marginals take two values, one for the observed zone's cells and
-one for the rest, so the re-encode's ties fall to the encoders' documented
-order: descending probability, then ascending cell id.
+is observed, the true occupancy then evolves along the undamped uniform-row
+Markov chain (every outgoing edge equally likely), and the dynamic side
+re-encodes once on its prediction of the evolved per-cell marginals; the
+static side keeps the encoding built from the initial probabilities.  Both
+sides are costed on the same evolved zones.  The prediction is computed
+exactly, but for that chain damped by `cfg.alpha` (each step a jump to a
+uniformly random state with probability 1 - alpha), so it matches the
+evolution only at alpha = 1.  The predicted marginals take two values, one
+for the observed zone's cells and one for the rest, so the re-encode's ties
+fall to the encoders' documented order: descending probability, then
+ascending cell id.
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ def child_seed(master: int, *parts) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def stream(master: int, *parts) -> random.Random:
+    """The random stream of one purpose, seeded by `child_seed`."""
+    return random.Random(child_seed(master, *parts))
+
+
 @dataclass(frozen=True)
 class SigmoidModel:
     """Cell-probability model: S(x) = 1 / (1 + exp(-b (x - a)))."""
@@ -58,7 +66,10 @@ class SigmoidModel:
     b: float
 
     def value(self, x: float) -> float:
-        p = 1.0 / (1.0 + math.exp(-self.b * (x - self.a)))
+        try:
+            p = 1.0 / (1.0 + math.exp(-self.b * (x - self.a)))
+        except OverflowError:   # a steep gradient far below a: S(x) -> 0
+            p = 0.0
         return min(max(p, 1e-12), 1.0 - 1e-12)
 
 
@@ -136,9 +147,11 @@ class ExperimentConfig:
             raise ValueError(f"depth {self.depth} outside [1, {min_width(self.n)}]")
         if not self.fractions:
             raise ValueError("at least one alert fraction is required")
-        for f in self.fractions:
+        for i, f in enumerate(self.fractions):
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"fraction {f} outside (0, 1]")
+            if f in self.fractions[:i]:
+                raise ValueError(f"fraction {f} repeated")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must lie in [0, 1]")
         if self.trials < 1:
@@ -225,7 +238,7 @@ def spot_check(cfg: ExperimentConfig, trial: int, grid: Grid,
         if enc.cell_at(extra) is not None:
             raise AssertionError("token set covers a real cell outside the zone")
 
-    rng = random.Random(child_seed(cfg.seed, "spot", trial))
+    rng = stream(cfg.seed, "spot", trial)
     inside = sorted(zone)[:2]
     outside = [c for c in range(grid.n) if c not in zone][:2]
     pk, sk = setup(enc.k, seed=child_seed(cfg.seed, "hvekeys", trial))
@@ -261,7 +274,6 @@ def _run_trials(cfg: ExperimentConfig, body: Callable[..., List[TrialResult]]
     (AssertionError from `spot_check`), which aborts the run.
     """
     cfg.validate()
-    model = SigmoidModel(cfg.a, cfg.b)
     results: List[TrialResult] = []
     failures: List[str] = []
     for trial in range(cfg.trials):
@@ -276,10 +288,8 @@ def _run_trials(cfg: ExperimentConfig, body: Callable[..., List[TrialResult]]
             return pairing_cost(ts)
 
         try:
-            rng_probs = random.Random(child_seed(cfg.seed, "probs", trial))
-            probs = gen_probabilities(cfg.n, model, rng_probs)
-            grid = Grid.regular(cfg.n, probs)
-            results.extend(body(trial, probs, grid, candidate))
+            grid = trial_grid(cfg, trial)
+            results.extend(body(trial, grid.probabilities(), grid, candidate))
         except AssertionError as exc:
             raise AssertionError(f"trial {trial}: {exc}") from exc
         except Exception as exc:  # noqa: BLE001 - trial isolation is the contract
@@ -287,10 +297,20 @@ def _run_trials(cfg: ExperimentConfig, body: Callable[..., List[TrialResult]]
     return results, failures
 
 
-def _zone(cfg: ExperimentConfig, probs: Sequence[float], trial: int,
-          fraction: float, uniform: bool) -> FrozenSet[int]:
-    rng = random.Random(child_seed(cfg.seed, "zone", trial, f"{fraction:.6f}"))
-    return sample_zone(probs, fraction, rng, uniform=uniform)
+def trial_grid(cfg: ExperimentConfig, trial: int) -> Grid:
+    """The regular grid of `cfg.n` cells that trial `trial` runs on, its
+    probabilities drawn from the trial's own stream under cfg's sigmoid."""
+    probs = gen_probabilities(cfg.n, SigmoidModel(cfg.a, cfg.b),
+                              stream(cfg.seed, "probs", trial))
+    return Grid.regular(cfg.n, probs)
+
+
+def trial_zone(cfg: ExperimentConfig, probs: Sequence[float], trial: int,
+               fraction: float, uniform: bool) -> FrozenSet[int]:
+    """The alert zone of trial `trial` at `fraction`, drawn from its own
+    stream, so every encoding costed in the trial meets the same zone."""
+    return sample_zone(probs, fraction, stream(cfg.seed, "zone", trial, f"{fraction:.6f}"),
+                       uniform=uniform)
 
 
 def _cost(cfg: ExperimentConfig, enc: GridEncoding, zone: FrozenSet[int]) -> int:
@@ -320,14 +340,14 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]
     def body(trial, probs, grid, candidate):
         optimizer_probs = probs
         if cfg.noise > 0.0:
-            rng_noise = random.Random(child_seed(cfg.seed, "noise", trial))
+            rng_noise = stream(cfg.seed, "noise", trial)
             optimizer_probs = add_noise(probs, cfg.noise, rng_noise)
         enc = build_encoding(cfg.algorithm, grid.with_probabilities(optimizer_probs),
                              cfg, trial)
         baseline = hge_baseline(grid)
         rows = []
         for fraction in cfg.fractions:
-            zone = _zone(cfg, probs, trial, fraction, cfg.uniform_zones)
+            zone = trial_zone(cfg, probs, trial, fraction, cfg.uniform_zones)
             rows.append(_row(cfg, trial, fraction, candidate(enc, zone),
                              _cost(cfg, baseline, zone)))
         return rows
@@ -340,15 +360,14 @@ def run_depth_sweep(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]
     across depths."""
     def body(trial, probs, grid, candidate):
         baseline = hge_baseline(grid)
-        zones = {fraction: _zone(cfg, probs, trial, fraction, cfg.uniform_zones)
+        zones = {fraction: trial_zone(cfg, probs, trial, fraction, cfg.uniform_zones)
                  for fraction in cfg.fractions}
         rows = []
         for depth in range(1, grid.k + 1):
             state = Assignment(grid)
             state.assign(state.take_top_cells(1)[0], 0)
             state.go_pass(0, depth)
-            state.complete_random(
-                random.Random(child_seed(cfg.seed, "fill", trial, depth)))
+            state.complete_random(stream(cfg.seed, "fill", trial, depth))
             enc = state.to_encoding("GO")
             for fraction, zone in zones.items():
                 rows.append(_row(cfg, trial, fraction, candidate(enc, zone),
@@ -394,8 +413,9 @@ def run_dynamics(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
     """Static versus dynamic encodings under uniform zone evolution.
 
     Per trial: observe an initial zone, let the occupancy evolve along the
-    uniform chain, compute its evolved marginals exactly, re-encode once
-    on those marginals, and cost both encodings on the same evolved zones.
+    undamped uniform chain, re-encode once on the exact evolved marginals
+    of that chain damped by cfg.alpha (alpha = 1 predicts the evolution
+    exactly), and cost both encodings on the same evolved zones.
     baseline_cost carries the static encoding's cost and improvement_pct
     the dynamic gain over it.
 
@@ -410,14 +430,13 @@ def run_dynamics(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
         static_enc = build_encoding(cfg.algorithm, grid, cfg, trial)
         rows = []
         for fraction in cfg.fractions:
-            initial = _zone(cfg, probs, trial, fraction, uniform=True)
+            initial = trial_zone(cfg, probs, trial, fraction, uniform=True)
             start_state = sum(1 << c for c in initial)
             marginals = chain.end_marginals(start_state, cfg.continue_prob,
                                             cfg.alpha).tolist()
             dynamic_enc = build_encoding(
                 cfg.algorithm, grid.with_probabilities(marginals), cfg, trial)
-            rng_evolve = random.Random(
-                child_seed(cfg.seed, "evolve", trial, f"{fraction:.6f}"))
+            rng_evolve = stream(cfg.seed, "evolve", trial, f"{fraction:.6f}")
             # an alert zone must be non-empty
             evolved = (end for end in chain.walk_ends(
                 start_state, cfg.continue_prob, rng_evolve) if end)

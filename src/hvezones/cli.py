@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: encode, tokens, benchmark, depth-sweep, timing, dynamics,
-hve-demo.  Experiment subcommands read an optional config file of
-`key = value` lines (# starts a comment); command-line flags override
-file values.  Config keys and flags both come from the ExperimentConfig
-fields, each parsed from text by its type: `n = 64` is `--n 64`,
-`continue_prob` is `--continue-prob`, and a bool field is a switch.  CSV
-goes to stdout unless --out is given.  Exit status is 0 on success, 2
-with a diagnostic line on a configuration error, and 1 with a diagnostic
-line when a trial's verification fails or every trial fails.
+hve-demo.  All but hve-demo read an optional config file of `key = value`
+lines (# starts a comment); command-line flags override file values.
+`SUBCOMMAND_FIELDS` names the ExperimentConfig fields each subcommand
+reads, and its config keys and flags come from those fields alone, each
+parsed from text by its type: `n = 64` is `--n 64`, `continue_prob` is
+`--continue-prob`, and a bool field is a switch.  A flag or key the
+subcommand does not read is refused.  CSV goes to stdout unless --out is
+given.  Exit status is 0 on success, 2 with a diagnostic line on a
+configuration error, and 1 with a diagnostic line when a trial's
+verification fails or every trial fails.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import random
 import sys
-from typing import (IO, Dict, FrozenSet, Iterator, List, Optional, Tuple,
-                    get_type_hints)
+from typing import (IO, Dict, FrozenSet, Iterator, List, Optional, Sequence,
+                    Tuple, get_type_hints)
 
 from . import bench
-from .bench import ExperimentConfig, SigmoidModel, child_seed
-from .grid import Grid, read_encoding, write_encoding
+from .bench import ExperimentConfig
+from .grid import read_encoding, write_encoding
 from .hve import MessageSpace, encrypt, gen_token, query, setup
 from .tokens import minimize, pairing_cost, write_token_set
 
@@ -59,7 +60,9 @@ _HELP = {
 }
 
 
-def parse_config_file(path: str) -> Dict[str, object]:
+def parse_config_file(path: str, keys: Sequence[str]) -> Dict[str, object]:
+    """The `key = value` lines of a config file, each key one of `keys`
+    (ExperimentConfig field names) and given at most once."""
     values: Dict[str, object] = {}
     with open(path, encoding="utf-8") as fp:
         for lineno, raw in enumerate(fp, 1):
@@ -69,8 +72,11 @@ def parse_config_file(path: str) -> Dict[str, object]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
+                                  f"(accepted: {', '.join(keys)})")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeated")
             try:
                 values[key] = CONFIG_FIELDS[key](text)
             except ValueError as exc:
@@ -82,14 +88,14 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
     """Config file values, overridden by the flags given; flags arrive as
     text and go through the same parsers as config-file values."""
     values: Dict[str, object] = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for key, parse in CONFIG_FIELDS.items():
-        text = getattr(args, key, None)
+    if args.config:
+        values.update(parse_config_file(args.config, args.fields))
+    for key in args.fields:
+        text = getattr(args, key)
         if text is None:
             continue
         try:
-            values[key] = parse(text)
+            values[key] = CONFIG_FIELDS[key](text)
         except ValueError as exc:
             raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
     cfg = ExperimentConfig(**values)
@@ -121,10 +127,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     cfg = make_config(args)
-    rng = random.Random(child_seed(cfg.seed, "probs", 0))
-    probs = bench.gen_probabilities(cfg.n, SigmoidModel(cfg.a, cfg.b), rng)
-    grid = Grid.regular(cfg.n, probs)
-    enc = bench.build_encoding(cfg.algorithm, grid, cfg, trial=0)
+    enc = bench.build_encoding(cfg.algorithm, bench.trial_grid(cfg, 0), cfg, trial=0)
     with _output(args) as out:
         write_encoding(out, enc, params=f"depth={cfg.depth or '-'}", seed=cfg.seed)
     return 0
@@ -142,18 +145,23 @@ def _parse_cells(text: str) -> FrozenSet[int]:
 
 
 def cmd_tokens(args: argparse.Namespace) -> int:
+    """Minimize the zone given by --cells, or the probability-weighted zone
+    that trial 0 of `benchmark` draws at --fraction on a grid of the
+    encoding's cell count."""
+    if (args.cells is None) == (args.fraction is None):
+        raise ConfigError("tokens needs exactly one of --cells and --fraction")
     with open(args.encoding, encoding="utf-8") as fp:
         enc = read_encoding(fp)
     if args.cells is not None:
+        sampling = [f"--{key}" for key in ("config", *args.fields)
+                    if getattr(args, key) is not None]
+        if sampling:
+            raise ConfigError(f"--cells takes no sampling settings: {', '.join(sampling)}")
         zone = _parse_cells(args.cells)
-    elif args.fraction is not None:
-        cfg = make_config(args)
-        rng = random.Random(child_seed(cfg.seed, "probs", 0))
-        probs = bench.gen_probabilities(enc.n, SigmoidModel(cfg.a, cfg.b), rng)
-        zone_rng = random.Random(child_seed(cfg.seed, "zone", 0, f"{args.fraction:.6f}"))
-        zone = bench.sample_zone(probs, args.fraction, zone_rng)
     else:
-        raise ConfigError("tokens needs --cells or --fraction")
+        cfg = dataclasses.replace(make_config(args), n=enc.n)
+        zone = bench.trial_zone(cfg, bench.trial_grid(cfg, 0).probabilities(), 0,
+                                args.fraction, uniform=False)
     ts = minimize(zone, enc, allow_dummy_cover=not args.no_dummy_cover)
     with _output(args) as out:
         write_token_set(out, ts, zone_size=len(zone), encoder=enc.algorithm)
@@ -165,7 +173,7 @@ def cmd_hve_demo(args: argparse.Namespace) -> int:
     width = args.width
     seed = args.seed if args.seed is not None else 0
     pk, sk = setup(width, seed=seed)
-    rng = random.Random(child_seed(seed, "demo"))
+    rng = bench.stream(seed, "demo")
     messages = MessageSpace(pk.group, [1], seed=seed)
     attribute = "".join(rng.choice("01") for _ in range(width))
     pattern = "".join("*" if rng.random() < 0.5 else ch for ch in attribute)
@@ -186,12 +194,15 @@ def cmd_hve_demo(args: argparse.Namespace) -> int:
     return 0 if roundtrip_ok else 1
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per ExperimentConfig field: `--<name>` taking a value, or a
-    switch for a bool field, `--<name>` when it defaults to False and
-    `--no-<name>` when it defaults to True."""
+def _add_config_flags(parser: argparse.ArgumentParser,
+                      fields: Tuple[str, ...]) -> None:
+    """One flag per ExperimentConfig field in `fields`: `--<name>` taking a
+    value, or a switch for a bool field, `--<name>` when it defaults to
+    False and `--no-<name>` when it defaults to True."""
     parser.add_argument("--config", help="key = value config file")
     for field in dataclasses.fields(ExperimentConfig):
+        if field.name not in fields:
+            continue
         flag = field.name.replace("_", "-")
         help_text = _HELP.get(field.name)
         if CONFIG_FIELDS[field.name] is _parse_bool:
@@ -201,6 +212,24 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         else:
             parser.add_argument(f"--{flag}", dest=field.name, help=help_text)
     parser.add_argument("--out", help="write output to a file instead of stdout")
+    parser.set_defaults(fields=fields)
+
+
+# The ExperimentConfig fields each subcommand reads: its flags and accepted
+# config keys, and nothing else.  A setting a subcommand ignores would still
+# be written into its CSV rows as if it had been applied.
+SUBCOMMAND_FIELDS = {
+    "encode": ("n", "algorithm", "depth", "a", "b", "seed"),
+    "tokens": ("a", "b", "seed"),
+    "benchmark": ("n", "algorithm", "depth", "a", "b", "fractions", "noise",
+                  "trials", "seed", "uniform_zones", "verify", "dummy_cover"),
+    "depth-sweep": ("n", "a", "b", "fractions", "trials", "seed",
+                    "uniform_zones", "verify", "dummy_cover"),
+    "timing": ("n", "algorithm", "depth", "a", "b", "trials", "seed"),
+    "dynamics": ("n", "algorithm", "depth", "a", "b", "fractions", "trials",
+                 "seed", "verify", "dummy_cover", "alpha", "continue_prob",
+                 "dyn_zones"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="encode a generated grid and print it")
-    _add_config_flags(p)
+    _add_config_flags(p, SUBCOMMAND_FIELDS["encode"])
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("tokens", help="minimize an alert zone into patterns")
@@ -220,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, help="sample a zone of this fraction")
     p.add_argument("--no-dummy-cover", action="store_true",
                    help="forbid covering dummy codewords")
-    _add_config_flags(p)
+    _add_config_flags(p, SUBCOMMAND_FIELDS["tokens"])
     p.set_defaults(func=cmd_tokens)
 
     p = sub.add_parser("hve-demo", help="one encrypt/token/query round")
@@ -234,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("timing", bench.run_timing, "encoding wall times"),
             ("dynamics", bench.run_dynamics, "static vs dynamic encodings")):
         p = sub.add_parser(name, help=help_text)
-        _add_config_flags(p)
+        _add_config_flags(p, SUBCOMMAND_FIELDS[name])
         p.set_defaults(func=cmd_run, runner=runner)
     return parser
 

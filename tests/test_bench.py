@@ -45,6 +45,13 @@ def test_sigmoid_flat_and_inflection():
     assert 0.0 < model.value(0.0) < model.value(1.0) < 1.0
 
 
+def test_sigmoid_saturates_where_exp_overflows():
+    steep = SigmoidModel(a=0.75, b=1e308)
+    assert steep.value(0.0) == steep.value(0.5) == 1e-12
+    assert steep.value(0.75) == 0.5
+    assert steep.value(1.0) == 1.0 - 1e-12
+
+
 def test_probability_mean_matches_quadrature():
     """Empirical mean of generated probabilities against a numerical
     integral of the sigmoid over the unit interval."""
@@ -125,6 +132,8 @@ def test_config_validation():
     for cfg in bad:
         with pytest.raises(ValueError):
             cfg.validate()
+    with pytest.raises(ValueError, match=r"^fraction 0\.5 repeated$"):
+        ExperimentConfig(fractions=(0.25, 0.5, 0.5)).validate()
 
 
 def test_trial_result_invariants():

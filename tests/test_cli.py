@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import dataclasses
+import pathlib
+import shlex
 
 import pytest
 
-from hvezones.cli import build_parser, main, make_config, parse_config_file
+from hvezones import bench
+from hvezones.bench import ExperimentConfig
+from hvezones.cli import (SUBCOMMAND_FIELDS, build_parser, main, make_config,
+                          parse_config_file)
 
 
 def run_cli(capsys, *argv):
@@ -152,7 +157,66 @@ def test_config_file_errors(tmp_path, capsys):
     bad_line = tmp_path / "bad3.cfg"
     bad_line.write_text("n 12\n")
     with pytest.raises(Exception):
-        parse_config_file(str(bad_line))
+        parse_config_file(str(bad_line), ["n"])
+
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("n = 16\ntrials = 1\nn = 32\n")
+    code, out, err = run_cli(capsys, "benchmark", "--config", str(repeated))
+    assert (code, out) == (2, "")
+    assert err == f"error: {repeated}:3: key 'n' repeated\n"
+
+
+@pytest.mark.parametrize("command,line", [
+    ("dynamics", "noise = 0.5"),
+    ("depth-sweep", "algorithm = SGO"),
+    ("timing", "fractions = 0.5"),
+    ("encode", "trials = 2"),
+    ("tokens", "n = 16"),
+])
+def test_config_key_the_subcommand_does_not_read_exits_with_one_line(
+        tmp_path, capsys, command, line):
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    enc_path = tmp_path / "enc.tsv"
+    run_cli(capsys, "encode", "--n", "8", "--out", str(enc_path))
+    extra = ("--encoding", str(enc_path), "--fraction", "0.5") if command == "tokens" else ()
+    code, out, err = run_cli(capsys, command, *extra, "--config", str(cfg))
+    key = line.split()[0]
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cfg}:2: unknown key {key!r} (accepted: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "depth-sweep --n 16 --algorithm SGO --depth 2",
+    "dynamics --n 16 --noise 0.5",
+    "encode --noise 0.9",
+    "encode --n 16 --trials 2",
+    "timing --n 16 --fractions 0.5",
+    "benchmark --n 16 --alpha 0.5",
+    "tokens --encoding enc.tsv --fraction 0.5 --n 16",
+])
+def test_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,reason", [
+    ("--cells 0 --fraction 0.5", "tokens needs exactly one of --cells and --fraction"),
+    ("--cells 0,1 --b nan", "--cells takes no sampling settings: --b"),
+    ("--cells 0,1 --seed 3 --a 0.5", "--cells takes no sampling settings: --a, --seed"),
+    ("--cells 0 --config {cfg}", "--cells takes no sampling settings: --config"),
+])
+def test_tokens_cells_take_no_sampling_settings(tmp_path, capsys, extra, reason):
+    enc_path = tmp_path / "enc.tsv"
+    run_cli(capsys, "encode", "--n", "8", "--out", str(enc_path))
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 2\n")
+    code, out, err = run_cli(capsys, "tokens", "--encoding", str(enc_path),
+                             *extra.format(cfg=cfg).split())
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
 def test_invalid_parameter_exits_nonzero(capsys):
@@ -169,19 +233,23 @@ def test_bad_flag_value_exits_with_one_line(capsys):
     assert err.startswith("error: --n: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["encode", "benchmark", "depth-sweep",
-                                     "timing", "dynamics"])
-def test_go_depth_beyond_width_exits_with_one_line(capsys, command):
+@pytest.mark.parametrize("command,extra", [
+    pytest.param("encode", (), id="encode"),
+    pytest.param("benchmark", ("--trials", "1", "--fractions", "0.4"), id="benchmark"),
+    pytest.param("timing", ("--trials", "1"), id="timing"),
+    pytest.param("dynamics", ("--trials", "1", "--fractions", "0.4", "--dyn-zones", "2"),
+                 id="dynamics"),
+])
+def test_go_depth_beyond_width_exits_with_one_line(capsys, command, extra):
     """A GO pass has no ring beyond k, so the config is refused up front
     rather than failing every trial; MSGO clamps its depth to k."""
     code, out, err = run_cli(capsys, command, "--algorithm", "GO", "--n", "5",
-                             "--depth", "99", "--trials", "2")
+                             "--depth", "99", *extra)
     assert (code, out) == (2, "")
     assert err == "error: depth 99 outside [1, 3]\n"
     for algorithm, depth in (("GO", "3"), ("MSGO", "99")):
         code, out, err = run_cli(capsys, command, "--algorithm", algorithm,
-                                 "--n", "5", "--depth", depth, "--trials", "1",
-                                 "--fractions", "0.4", "--dyn-zones", "2")
+                                 "--n", "5", "--depth", depth, *extra)
         assert (code, err) == (0, ""), (algorithm, err)
 
 
@@ -198,17 +266,40 @@ def test_bad_sigmoid_gradient_exits_with_one_line(tmp_path, capsys, b):
     assert err == "error: sigmoid gradient b must be finite and >= 0\n"
 
 
-def test_experiment_flags_come_from_config_fields():
-    """One flag per ExperimentConfig field; bool fields are switches named
-    after the non-default value."""
+def test_steep_sigmoid_gradient_saturates(capsys):
+    """exp overflows at b = 1e308; the sigmoid saturates into its clamp
+    instead of failing every trial."""
+    code, out, err = run_cli(capsys, "encode", "--n", "4", "--b", "1e308")
+    assert (code, err) == (0, "")
+    assert out.startswith("# n=4 k=2 algorithm=GO")
+    code, out, err = run_cli(capsys, "benchmark", "--n", "16", "--trials", "1",
+                             "--fractions", "0.5", "--b", "1e308")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("GO,16,0,0.75,1e+308,0.5,")
+
+
+FIELD_FLAGS = {
+    "n": "--n", "algorithm": "--algorithm", "depth": "--depth", "a": "--a",
+    "b": "--b", "fractions": "--fractions", "noise": "--noise",
+    "trials": "--trials", "seed": "--seed", "uniform_zones": "--uniform-zones",
+    "verify": "--no-verify", "dummy_cover": "--dummy-cover", "alpha": "--alpha",
+    "continue_prob": "--continue-prob", "dyn_zones": "--dyn-zones"}
+
+
+def test_subcommand_flags_come_from_their_table_entries():
+    """Each subcommand has one flag per ExperimentConfig field it reads and
+    no other, 50 (subcommand, field) pairs in all; bool fields are switches
+    named after the non-default value."""
+    assert set(FIELD_FLAGS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    own = {"tokens": {"--encoding", "--cells", "--fraction", "--no-dummy-cover"}}
     subparsers = build_parser()._subparsers._group_actions[0].choices
-    flags = {option for action in subparsers["benchmark"]._actions
-             for option in action.option_strings}
-    assert flags == {
-        "-h", "--help", "--config", "--out", "--n", "--algorithm", "--depth",
-        "--a", "--b", "--fractions", "--noise", "--trials", "--seed",
-        "--uniform-zones", "--no-verify", "--dummy-cover", "--alpha",
-        "--continue-prob", "--dyn-zones"}
+    assert set(subparsers) == set(SUBCOMMAND_FIELDS) | {"hve-demo"}
+    for command, fields in SUBCOMMAND_FIELDS.items():
+        flags = {option for action in subparsers[command]._actions
+                 for option in action.option_strings}
+        assert flags == ({"-h", "--help", "--config", "--out"} | own.get(command, set())
+                         | {FIELD_FLAGS[field] for field in fields}), command
+    assert sum(map(len, SUBCOMMAND_FIELDS.values())) == 50
     cfg = make_config(build_parser().parse_args(
         ["benchmark", "--no-verify", "--dummy-cover"]))
     assert (cfg.verify, cfg.dummy_cover, cfg.uniform_zones) == (False, True, False)
@@ -249,7 +340,7 @@ def test_parse_config_file_types(tmp_path):
         "alpha = 0.9\n"
         "continue_prob = 0.5\n"
         "dyn_zones = 20\n")
-    values = parse_config_file(str(cfg))
+    values = parse_config_file(str(cfg), tuple(FIELD_FLAGS))
     assert values["algorithm"] == "MSGO"
     assert values["fractions"] == (0.1, 0.2)
     assert values["uniform_zones"] is True
@@ -280,3 +371,56 @@ def test_benchmark_verification_failure_is_fatal(monkeypatch, capsys):
         assert err.count("\n") == 1
         assert err.startswith(
             "error: verification failed: trial 0: pairing counter mismatch")
+
+
+# A valid value other than the default for every ExperimentConfig field
+CHANGED = {"n": 12, "algorithm": "MSGO", "depth": 2, "a": 0.4, "b": 3.0,
+           "fractions": (0.25,), "noise": 0.3, "trials": 2, "seed": 9,
+           "uniform_zones": True, "verify": False, "dummy_cover": True,
+           "alpha": 0.5, "continue_prob": 0.8, "dyn_zones": 2}
+
+
+@pytest.mark.parametrize("command,runner", [
+    ("benchmark", bench.run_experiment), ("depth-sweep", bench.run_depth_sweep),
+    ("timing", bench.run_timing), ("dynamics", bench.run_dynamics)])
+def test_runner_reads_no_field_its_subcommand_hides(command, runner):
+    """A field a subcommand exposes no flag or key for must not move its
+    runner's costs: otherwise the table hides a setting the runner reads."""
+    assert set(CHANGED) == set(FIELD_FLAGS)
+    assert all(getattr(ExperimentConfig(), f) != v for f, v in CHANGED.items())
+
+    def costs(cfg):
+        results, failures = runner(cfg)
+        assert results and not failures
+        return [(r.fraction, r.trial, r.depth, r.pairing_cost, r.baseline_cost,
+                 r.improvement_pct) for r in results]
+
+    base = ExperimentConfig(n=16, trials=1, fractions=(0.25, 0.5), dyn_zones=4)
+    expected = costs(base)
+    for field in CHANGED.keys() - set(SUBCOMMAND_FIELDS[command]):
+        changed = dataclasses.replace(base, **{field: CHANGED[field]})
+        if field != "fractions":
+            assert costs(changed) == expected, field
+        else:   # timing samples no zone but labels its rows with fractions[0]
+            assert [c[1:] for c in costs(changed)] == [c[1:] for c in expected]
+
+
+def test_readme_cli_examples_parse(tmp_path):
+    """Every `hvezones` line of README's CLI block names a subcommand and
+    only flags that subcommand reads, and every example config file is
+    accepted by the subcommand its first line names."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("hvezones ")]
+    assert len(lines) >= 8
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+    configs = readme.split("```ini\n")[1:]
+    assert len(configs) == 2
+    for text in configs:
+        text = text.split("```", 1)[0]
+        command = text.split()[3]          # "# <file>: hvezones <command> ..."
+        path = tmp_path / "example.cfg"
+        path.write_text(text)
+        make_config(build_parser().parse_args([command, "--config", str(path)]))
