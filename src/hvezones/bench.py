@@ -150,8 +150,12 @@ class ExperimentConfig:
         for i, f in enumerate(self.fractions):
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"fraction {f} outside (0, 1]")
-            if f in self.fractions[:i]:
-                raise ValueError(f"fraction {f} repeated")
+            for g in self.fractions[:i]:
+                if f == g:
+                    raise ValueError(f"fraction {f} repeated")
+                if f"{f:g}" == f"{g:g}":
+                    raise ValueError(f"fractions {g!r} and {f!r} share the CSV"
+                                     f" label {f:g}")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must lie in [0, 1]")
         if self.trials < 1:
@@ -378,7 +382,8 @@ def run_depth_sweep(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]
 
 
 def run_timing(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
-    """Encoding wall time per trial; costs are not evaluated here.
+    """Encoding wall time per trial; costs are not evaluated here and no
+    zone is sampled, so every row reads fraction 0.
 
     This is the one runner whose CSV is not byte-stable across re-runs:
     wall_ms carries real measurements, reported rather than asserted.  The
@@ -388,7 +393,7 @@ def run_timing(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]]:
         started = time.perf_counter()
         build_encoding(cfg.algorithm, grid, cfg, trial)
         wall = (time.perf_counter() - started) * 1000.0
-        return [_row(cfg, trial, cfg.fractions[0], 0, 0, wall_ms=wall,
+        return [_row(cfg, trial, 0.0, 0, 0, wall_ms=wall,
                      improvement_pct=0.0)]
     return _run_trials(cfg, body)
 

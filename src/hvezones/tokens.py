@@ -6,14 +6,15 @@ because no user can ever encrypt under them.  The minimizer produces a
 cover of {0,1,*} patterns whose cost is the total non-star bit count, the
 quantity that drives pairing work at query time (2 per non-star plus 1).
 
-Spaces up to 2^k = 4096 are minimized exactly: Quine-McCluskey prime
-implicants followed by a minimum-cost cover search with essential and
-dominance reductions and branch-and-bound on the minterm with the fewest
-holders (a deterministic node budget keeps degenerate dense cores from
-stalling; exhausting it falls back to the greedy incumbent and clears the
-`exact` flag).  Larger spaces go straight to a deterministic greedy set
-cover over prime cubes grown on demand from each minterm; those covers
-are flagged approximate as well.
+A cover that may use at most 4096 codewords (minterms plus don't-cares),
+at any width k, is minimized exactly: Quine-McCluskey prime implicants
+followed by a minimum-cost cover search with essential and dominance
+reductions and branch-and-bound on the minterm with the fewest holders (a
+deterministic node budget keeps degenerate dense cores from stalling;
+exhausting it falls back to the greedy incumbent and clears the `exact`
+flag).  Above 4096 allowed codewords a deterministic greedy set cover over
+prime cubes grown on demand from each minterm is used instead; those
+covers are flagged approximate as well.
 The greedy pick is lazy (a heap of possibly stale gains, rechecked when
 popped) and chooses exactly what a full rescan per pick would.
 """
@@ -84,12 +85,6 @@ class TokenSet:
     covered: FrozenSet[int]     # codeword values the patterns expand to
     cost: int                   # total non-star bits
     exact: bool                 # False for greedy / budget-exhausted covers
-
-    def __iter__(self):
-        return iter(self.patterns)
-
-    def __len__(self) -> int:
-        return len(self.patterns)
 
 
 def pairing_cost(ts: TokenSet) -> int:
@@ -318,39 +313,42 @@ def exact_cover(k: int, primes: List[Implicant],
         for i in held:
             ranked[i] |= 1 << r
 
-    nodes = 0
-    exhausted = False
-
-    def branch(picked: List[int], left: int, cost_so_far: int) -> None:
-        nonlocal nodes, exhausted, best, best_key
+    # Depth-first: the open node lives in locals, its ancestors on a stack
+    # with their untried holders and the pick being explored.  Holders are
+    # bounded when reached and every node entry counts against the budget;
+    # the root always branches (the greedy incumbent costs over base_cost).
+    nodes = 1
+    bound = best_key[0]
+    left, cost, untried = (1 << len(order)) - 1, base_cost, iter(holders_at[0])
+    stack = []
+    while True:
+        for i in untried:
+            if cost + costs[i] <= bound:
+                break
+        else:
+            if not stack:
+                break
+            left, cost, untried, _ = stack.pop()
+            continue
         nodes += 1
         if nodes > BRANCH_NODE_BUDGET:
-            exhausted = True
-            return
-        if left == 0:
-            key = (cost_so_far, len(picked),
-                   tuple(sorted(patterns[i] for i in picked)))
+            break
+        sub, sub_cost = left & ~ranked[i], cost + costs[i]
+        if sub == 0:
+            picked = chosen + [frame[3] for frame in stack] + [i]
+            key = (sub_cost, len(picked), tuple(sorted(patterns[j] for j in picked)))
             if key < best_key:
-                best_key = key
-                best = list(picked)
-            return
-        if cost_so_far + 1 > best_key[0]:
-            return
-        for i in holders_at[(left & -left).bit_length() - 1]:
-            if exhausted:
-                return
-            if cost_so_far + costs[i] > best_key[0]:
-                continue
-            picked.append(i)
-            branch(picked, left & ~ranked[i], cost_so_far + costs[i])
-            picked.pop()
+                best_key, best, bound = key, picked, sub_cost
+        elif sub_cost + 1 <= bound:
+            stack.append((left, cost, untried, i))
+            left, cost = sub, sub_cost
+            untried = iter(holders_at[(left & -left).bit_length() - 1])
 
-    branch(list(chosen), (1 << len(order)) - 1, base_cost)
     cover = sorted(set(best), key=lambda i: patterns[i])
-    return [primes[i] for i in cover], not exhausted
+    return [primes[i] for i in cover], nodes <= BRANCH_NODE_BUDGET
 
 
-# --- greedy path for wide codeword spaces ---
+# --- greedy path for more than EXACT_SPACE_LIMIT allowed codewords ---
 
 def _grow_prime_cube(minterm: int, k: int, allowed: Set[int]) -> Implicant:
     """Expand a minterm into a maximal cube inside `allowed`, trying star
@@ -404,10 +402,11 @@ def minimize(zone: Iterable[int], enc: GridEncoding,
     dontcares = set(enc.dummies()) if allow_dummy_cover else set()
     k = enc.k
 
-    if len(minterms | dontcares) == 1 << k:
+    allowed = len(minterms | dontcares)
+    if allowed == 1 << k:
         cover: List[Implicant] = [((1 << k) - 1, 0)]
         certified = True
-    elif (1 << k) <= EXACT_SPACE_LIMIT:
+    elif allowed <= EXACT_SPACE_LIMIT:
         primes = prime_implicants(k, minterms, dontcares)
         cover, certified = exact_cover(k, primes, minterms)
     else:

@@ -134,6 +134,11 @@ def test_config_validation():
             cfg.validate()
     with pytest.raises(ValueError, match=r"^fraction 0\.5 repeated$"):
         ExperimentConfig(fractions=(0.25, 0.5, 0.5)).validate()
+    # distinct fractions whose CSV labels (`:g`) coincide
+    with pytest.raises(ValueError, match=r"^fractions 0\.5 and 0\.5000001 share"
+                                         r" the CSV label 0\.5$"):
+        ExperimentConfig(fractions=(0.5, 0.25, 0.5000001)).validate()
+    ExperimentConfig(fractions=(0.5, 0.500001)).validate()
 
 
 def test_trial_result_invariants():
@@ -240,6 +245,8 @@ def test_timing_rows():
     assert len(rows) == 2
     assert all(r.wall_ms >= 0.0 for r in rows)
     assert all(r.pairing_cost == 0 for r in rows)
+    # no zone is sampled, so no row claims one of the configured fractions
+    assert all(r.fraction == 0 for r in rows)
 
 
 def test_predict_marginals_tracks_membership():

@@ -226,6 +226,14 @@ def test_invalid_parameter_exits_nonzero(capsys):
     assert "error:" in err
 
 
+def test_fractions_with_one_csv_label_exit_with_one_line(capsys):
+    code, out, err = run_cli(capsys, "benchmark", "--n", "16", "--fractions",
+                             "0.5,0.5000001", "--trials", "1", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: fractions 0.5 and 0.5000001 share the CSV label"
+                   " 0.5\n")
+
+
 def test_bad_flag_value_exits_with_one_line(capsys):
     code, out, err = run_cli(capsys, "benchmark", "--n", "twelve")
     assert code == 2
@@ -399,10 +407,7 @@ def test_runner_reads_no_field_its_subcommand_hides(command, runner):
     expected = costs(base)
     for field in CHANGED.keys() - set(SUBCOMMAND_FIELDS[command]):
         changed = dataclasses.replace(base, **{field: CHANGED[field]})
-        if field != "fractions":
-            assert costs(changed) == expected, field
-        else:   # timing samples no zone but labels its rows with fractions[0]
-            assert [c[1:] for c in costs(changed)] == [c[1:] for c in expected]
+        assert costs(changed) == expected, field
 
 
 def test_readme_cli_examples_parse(tmp_path):

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from hvezones import bench, wire
+from hvezones import bench, tokens, wire
 from hvezones.cli import main
 from hvezones.grid import Grid
 from hvezones.hve import MessageSpace, encrypt, gen_token, query, setup
@@ -82,8 +82,10 @@ ENCODING_DIGESTS = {
     "HGE/50625/5/sigmoid": "a713af9ddaacbc8716526f2058ddb8b9656fde6cab2921e1091d4ed0858c2479",
 }
 
-# (encoder, n, seed, zone fraction, dummy cover); n=100 and n=256 take the
-# exact path, n=5000 (k >= 13) the greedy one
+# (encoder, n, seed, zone fraction, dummy cover); a cover that may use at
+# most EXACT_SPACE_LIMIT codewords (minterms plus don't-cares) takes the
+# exact path at any width, so only HGE/5000/7/0.05/True (11634 allowed
+# codewords at k = 14) takes the greedy one
 MINIMIZE_CASES = [
     ("SGO", 100, 5, 0.3, True), ("SGO", 100, 5, 0.3, False),
     ("HGE", 100, 5, 0.3, True), ("HGE", 100, 5, 0.3, False),
@@ -103,12 +105,12 @@ MINIMIZE_DIGESTS = {
     "HGE/256/6/0.1/False": "48df98506f1e6c13e92f10917a302f0428043cdc853d52d5facab53345ce31e9",
     "MSGO/256/6/0.6/False": "55f470747b171928a130bb52c95e06074ef4466bed6b50f7f076835ca841eb62",
     "HGE/256/6/0.6/False": "18eaf89db6c6946caba2e70bf7e0be4b2d6b044b750c45bc1f150621ba17a36a",
-    "SGO/5000/7/0.05/True": "c6833f73e787276ecbb93ebc8682a9eee8652e04873ad00829580e86259a0f50",
-    "SGO/5000/7/0.05/False": "ab21d851eca4771b66d29beb1dac223cabdf8b4c9382c55c6e4e48cbe257d88f",
+    "SGO/5000/7/0.05/True": "cf9bda12f642d75aa9ac60381c6416dfcf30c482ce5975154a6d15249b129736",
+    "SGO/5000/7/0.05/False": "8e7784479f9aa3c128f322660beb82f60e06f3f5f7bac9d09697b98917c3d9c7",
     "HGE/5000/7/0.05/True": "7b10d8d6006269626eed39a751945c15e6eb82ac601951a8fe9a6848c2c32954",
-    "HGE/5000/7/0.05/False": "eea469c907a495ae575ff51c2dfc52f3fcfd6389ffe94bf4de25b71182a54d01",
-    "SGO/5000/7/0.3/False": "4612c0a090c697f92b549b8cf1a652a2f9918d72bc1c1665e72f1bf4c8d087eb",
-    "HGE/5000/7/0.3/False": "8e982eee599bd336a4b28316d27b3e5e3ec22c40488c78b9c766267a1f8cec5b",
+    "HGE/5000/7/0.05/False": "04a7d1a69aa1e61e089738dfc6fe4218675de1d3cced3b930333507c485021d2",
+    "SGO/5000/7/0.3/False": "6d1c74f4659e637b07e2f064112cd5b5415945ba223ac31301bc0642fa63e504",
+    "HGE/5000/7/0.3/False": "be00049f03e5dd284b78034f107956744c39fa7cb88088c7cd0504e72f9d9889",
 }
 
 
@@ -164,14 +166,24 @@ def test_shallow_pass_digest(run):
 
 
 @pytest.mark.parametrize("algorithm,n,seed,fraction,dummy", MINIMIZE_CASES)
-def test_minimize_digest(algorithm, n, seed, fraction, dummy):
+def test_minimize_digest(algorithm, n, seed, fraction, dummy, monkeypatch):
     grid = grid_for(n, seed)
     enc = ENCODERS[algorithm](grid)
     zone = bench.sample_zone(grid.probabilities(), fraction,
                              random.Random(f"golden/zone/{n}/{seed}"))
+    greedy_calls = []
+    greedy_cover = tokens.greedy_cover
+
+    def counted_greedy_cover(*args):
+        greedy_calls.append(args)
+        return greedy_cover(*args)
+
+    monkeypatch.setattr(tokens, "greedy_cover", counted_greedy_cover)
     ts = minimize(zone, enc, allow_dummy_cover=dummy)
-    assert ((1 << enc.k) > EXACT_SPACE_LIMIT) == (n == 5000)
     key = f"{algorithm}/{n}/{seed}/{fraction}/{dummy}"
+    allowed = len(zone) + (len(enc.dummies()) if dummy else 0)
+    assert (bool(greedy_calls) == (allowed > EXACT_SPACE_LIMIT)
+            == (key == "HGE/5000/7/0.05/True"))
     assert digest((ts.patterns, ts.cost, ts.exact)) == MINIMIZE_DIGESTS[key]
 
 
@@ -247,7 +259,7 @@ CSV_DIGESTS = {
     "dynamics --n 64 --trials 2 --seed 5 --algorithm SGO --dyn-zones 10":
         "d1cafc55f590d09c90aa0639600bd968acdfbf6ee55940529cb76b40c5ae1b22",
     "timing --n 300 --algorithm HGE --trials 3 --seed 4":
-        "90c196a17f61824994e1a2fc719377a7063827f36d8d497e630ad91e3ccc0077",
+        "6080d998715b88cbf0f4f36f61e01364d72239ddadf413d3a7d3f5f4b83bd541",
 }
 
 

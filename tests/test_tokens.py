@@ -178,13 +178,15 @@ def test_adding_a_cell_respects_single_pattern_bound():
 
 
 def test_greedy_path_on_wide_space():
-    """k = 13 exceeds the exact-search budget: greedy covers stay exact as
-    covers, are deterministic, and are flagged approximate."""
+    """A 400-cell zone plus 4192 dummies is 4592 allowed codewords, above
+    EXACT_SPACE_LIMIT: greedy covers stay exact as covers, are
+    deterministic, and are flagged approximate."""
     rng = random.Random(21)
-    n = 6000
+    n = 4000
     forward = tuple(rng.sample(range(1 << 13), n))
     enc = GridEncoding(n=n, k=13, forward=forward, algorithm="r")
     zone = frozenset(rng.sample(range(n), 400))
+    assert len(zone) + len(enc.dummies()) > tokens.EXACT_SPACE_LIMIT
     ts = minimize(zone, enc, allow_dummy_cover=True)
     assert not ts.exact
     zone_values = {enc.value(c) for c in zone}
@@ -192,6 +194,34 @@ def test_greedy_path_on_wide_space():
     assert all(enc.cell_at(v) is None for v in ts.covered - zone_values)
     again = minimize(zone, enc, allow_dummy_cover=True)
     assert again.patterns == ts.patterns
+
+
+def test_wide_zone_without_dontcares_is_certified():
+    """At k = 13 a 1500-cell zone without don't-cares takes the exact path,
+    and its certified cover costs no more than the greedy one (here 9540
+    against 10247 non-star bits)."""
+    rng = random.Random(5)
+    n = 6000
+    forward = tuple(rng.sample(range(1 << 13), n))
+    enc = GridEncoding(n=n, k=13, forward=forward, algorithm="r")
+    zone = frozenset(rng.sample(range(n), 1500))
+    ts = minimize(zone, enc, allow_dummy_cover=False)
+    assert ts.exact
+    minterms = {enc.value(c) for c in zone}
+    assert ts.covered == minterms
+    greedy = greedy_cover(13, minterms, set())
+    assert ts.cost <= sum(implicant_cost(c, 13) for c in greedy)
+
+
+def test_exact_cover_deep_search_needs_no_recursion():
+    """4096 random minterms at k = 13 give a search deeper than the default
+    recursion limit; the loop returns, uncertified once the budget runs
+    out."""
+    minterms = set(random.Random(1).sample(range(1 << 13), 4096))
+    cover, certified = exact_cover(13, prime_implicants(13, minterms, set()),
+                                   minterms)
+    assert not certified
+    assert {v for c in cover for v in expand_implicant(c)} == minterms
 
 
 def test_greedy_cover_prime_cubes_cannot_grow():
