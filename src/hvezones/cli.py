@@ -9,8 +9,9 @@ parsed from text by its type: `n = 64` is `--n 64`, `continue_prob` is
 `--continue-prob`, and a bool field is a switch.  A flag or key the
 subcommand does not read is refused.  CSV goes to stdout unless --out is
 given.  Exit status is 0 on success, 2 with a diagnostic line on a
-configuration error, and 1 with a diagnostic line when a trial's
-verification fails or every trial fails.
+configuration error, 1 with a diagnostic line when a trial's
+verification fails or every trial fails, and 141 without a word when the
+reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 from typing import (IO, Dict, FrozenSet, Iterator, List, Optional, Sequence,
                     Tuple, get_type_hints)
@@ -26,7 +28,7 @@ from . import bench
 from .bench import ExperimentConfig
 from .grid import read_encoding, write_encoding
 from .hve import MessageSpace, encrypt, gen_token, query, setup
-from .tokens import minimize, pairing_cost, write_token_set
+from .tokens import match_pairings, minimize, pairing_cost, write_token_set
 
 
 class ConfigError(ValueError):
@@ -166,6 +168,8 @@ def cmd_tokens(args: argparse.Namespace) -> int:
     with _output(args) as out:
         write_token_set(out, ts, zone_size=len(zone), encoder=enc.algorithm)
         out.write(f"# pairing_cost={pairing_cost(ts)}\n")
+        out.write(f"# match_pairings="
+                  f"{match_pairings(ts.patterns, (enc.value(c) for c in zone))}\n")
     return 0
 
 
@@ -272,7 +276,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): stop quietly, with the
+        # status a shell reports for a producer that SIGPIPE killed, and
+        # point fd 1 at devnull so the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, ValueError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,12 @@ prime cubes grown on demand from each minterm is used instead; those
 covers are flagged approximate as well.
 The greedy pick is lazy (a heap of possibly stale gains, rechecked when
 popped) and chooses exactly what a full rescan per pick would.
+
+The server stops at a user's first matching token, so the cover's
+patterns are issued match-first: next the pattern matching the most zone
+minterms not yet matched per pairing it costs, ties by pattern text,
+every zone cell weighted alike (no user sits on a dummy codeword).  The
+order changes no cover, cost or pairing_cost, only what zone users pay.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, IO, Iterable, List, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, IO, Iterable, List, Sequence,
+                    Set, Tuple)
 
 from .gray import bit_positions
 from .grid import GridEncoding
@@ -79,7 +86,11 @@ def expand_implicant(imp: Implicant) -> List[int]:
 
 @dataclass(frozen=True)
 class TokenSet:
-    """Minimized pattern cover of one alert zone under one encoding."""
+    """Minimized pattern cover of one alert zone under one encoding.
+
+    `patterns` is in issue order: most newly matched zone cells per pairing
+    first, ties by pattern text.
+    """
 
     patterns: Tuple[str, ...]
     covered: FrozenSet[int]     # codeword values the patterns expand to
@@ -137,34 +148,46 @@ def _cover_bits(implicants: List[Implicant], minterms: Set[int]) -> List[int]:
     return out
 
 
-def _greedy_pick(candidates: Iterable[int], cover_bits: List[int],
-                 costs: List[int], full: int) -> List[int]:
-    """Deterministic greedy cover: most new minterms, then cheapest, then
-    lowest index.
+def _lazy_picks(candidates: Iterable[int], cover_bits: List[int], full: int,
+                key: Callable[[int, int], tuple]) -> Tuple[List[int], int]:
+    """Indices in the order a full rescan would pick them, each time the
+    least `key(gain, index)` among those with a positive gain (the number of
+    minterms of `full` it covers that no earlier pick did), until `full` is
+    covered or no candidate adds anything; returns (picks, uncovered rest).
 
-    Lazy evaluation over a heap of (-gain, cost, index) keys: gains only
-    shrink as the uncovered set shrinks, so an entry whose recomputed gain
-    still equals its stored one is the exact minimum a full rescan would
-    pick; a stale entry goes back with its new gain, or out at gain 0.
+    Lazy evaluation over a heap of possibly stale keys: `key` must be unique
+    per index and only grow as the gain shrinks, so an entry whose
+    recomputed gain still equals its stored one is the exact minimum a full
+    rescan would pick; a stale entry goes back with its new key, or out at
+    gain 0.
     """
     heap = []
     for idx in candidates:
         gain = (cover_bits[idx] & full).bit_count()
         if gain:
-            heap.append((-gain, costs[idx], idx))
+            heap.append((key(gain, idx), gain, idx))
     heapq.heapify(heap)
     chosen: List[int] = []
     left = full
-    while left:
-        if not heap:
-            raise ValueError("cover is infeasible")
-        neg_gain, cost, idx = heapq.heappop(heap)
+    while left and heap:
+        _, stored, idx = heapq.heappop(heap)
         gain = (cover_bits[idx] & left).bit_count()
-        if gain == -neg_gain:
+        if gain == stored:
             chosen.append(idx)
             left &= ~cover_bits[idx]
         elif gain:
-            heapq.heappush(heap, (-gain, cost, idx))
+            heapq.heappush(heap, (key(gain, idx), gain, idx))
+    return chosen, left
+
+
+def _greedy_pick(candidates: Iterable[int], cover_bits: List[int],
+                 costs: List[int], full: int) -> List[int]:
+    """Deterministic greedy cover: most new minterms, then cheapest, then
+    lowest index."""
+    chosen, left = _lazy_picks(candidates, cover_bits, full,
+                               lambda gain, idx: (-gain, costs[idx], idx))
+    if left:
+        raise ValueError("cover is infeasible")
     return chosen
 
 
@@ -385,6 +408,43 @@ def greedy_cover(k: int, minterms: Set[int], dontcares: Set[int]) -> List[Implic
     return [cubes[i] for i in sorted(chosen, key=lambda i: pats[i])]
 
 
+# --- issue order ---
+
+def _issue_order(cover: List[Implicant], k: int, minterms: Set[int]) -> List[str]:
+    """The cover's patterns in the order the server should try them: next
+    the one matching the most not yet matched minterms per pairing it costs
+    (2 per non-star bit plus 1), ties by pattern text, then any that add
+    nothing in text order.  This is Smith's ratio rule, optimal when no
+    minterm matches two patterns, and the greedy min-sum set-cover order
+    otherwise.  gain / cost as a float orders exactly: division rounds
+    correctly, and distinct ratios of such small integers lie far apart in
+    float precision.
+    """
+    pats = [implicant_pattern(c, k) for c in cover]
+    pairings = [2 * implicant_cost(c, k) + 1 for c in cover]
+    first, _ = _lazy_picks(range(len(cover)), _cover_bits(cover, minterms),
+                           (1 << len(minterms)) - 1,
+                           lambda gain, idx: (-gain / pairings[idx], pats[idx]))
+    picked = set(first)
+    rest = sorted(pats[i] for i in range(len(cover)) if i not in picked)
+    return [pats[i] for i in first] + rest
+
+
+def match_pairings(patterns: Sequence[str], values: Iterable[int]) -> int:
+    """Pairings the server spends on users at these codewords when it tries
+    `patterns` in order: each user pays 2 per non-star bit plus 1 for every
+    token up to its first match, or for all of them when none matches."""
+    costed = [(*pattern_implicant(p), 2 * (len(p) - p.count("*")) + 1)
+              for p in patterns]
+    total = 0
+    for v in values:
+        for mask, value, pairings in costed:
+            total += pairings
+            if v & ~mask == value:
+                break
+    return total
+
+
 def minimize(zone: Iterable[int], enc: GridEncoding,
              allow_dummy_cover: bool = True) -> TokenSet:
     """Minimize an alert zone into a pattern cover under an encoding.
@@ -413,14 +473,16 @@ def minimize(zone: Iterable[int], enc: GridEncoding,
         cover = greedy_cover(k, minterms, dontcares)
         certified = False
 
-    patterns = tuple(sorted(implicant_pattern(c, k) for c in cover))
+    patterns = tuple(_issue_order(cover, k, minterms))
     covered = frozenset(v for c in cover for v in expand_implicant(c))
     cost = sum(implicant_cost(c, k) for c in cover)
     return TokenSet(patterns=patterns, covered=covered, cost=cost, exact=certified)
 
 
 def write_token_set(fp: IO[str], ts: TokenSet, zone_size: int, encoder: str) -> None:
-    """One msb-first pattern per line under a cost header."""
+    """One msb-first pattern per line under a cost header, in issue order:
+    the order the server tries them, most newly matched zone cells per
+    pairing first."""
     fp.write(f"# cost={ts.cost} zone_size={zone_size} encoder={encoder}"
              f" exact={'yes' if ts.exact else 'no'}\n")
     for pattern in ts.patterns:

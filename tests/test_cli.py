@@ -1,15 +1,20 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import dataclasses
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
-from hvezones import bench
+import hvezones
+from hvezones import bench, tokens
 from hvezones.bench import ExperimentConfig
 from hvezones.cli import (SUBCOMMAND_FIELDS, build_parser, main, make_config,
                           parse_config_file)
+from hvezones.grid import read_encoding
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +50,46 @@ def test_encode_and_tokens_round_trip(tmp_path, capsys):
                            "--fraction", "0.25", "--seed", "4")
     assert code == 0
     assert out.splitlines()[0].startswith("# cost=")
+
+
+def test_tokens_reports_match_pairings(tmp_path, capsys):
+    """The footer sums, over the zone's cells, the pairings of every token
+    up to the cell's first match, in the order the file lists them, and
+    that order beats sorted order on this zone."""
+    enc_path = tmp_path / "enc.tsv"
+    run_cli(capsys, "encode", "--algorithm", "HGE", "--n", "64", "--seed", "2",
+            "--out", str(enc_path))
+    cells = (0, 1, 2, 3, 5, 9, 17, 20, 33, 42, 63)
+    code, out, _ = run_cli(capsys, "tokens", "--encoding", str(enc_path),
+                           "--cells", ",".join(map(str, cells)))
+    assert code == 0
+    lines = out.splitlines()
+    patterns = [line for line in lines if not line.startswith("#")]
+    with open(enc_path, encoding="utf-8") as fp:
+        enc = read_encoding(fp)
+    values = [enc.value(c) for c in cells]
+    issued = tokens.match_pairings(patterns, values)
+    assert lines[-1] == f"# match_pairings={issued}"
+    assert issued < tokens.match_pairings(sorted(patterns), values)
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that takes one line and closes the pipe, as `| head -n 1`
+    does, ends the run with status 141 and nothing on stderr.  The
+    encoding (about 72 KB) outgrows a 64 KiB pipe buffer, so the writer
+    meets the closed pipe."""
+    src = pathlib.Path(hvezones.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hvezones.cli", "encode", "--algorithm", "HGE",
+         "--n", "4096", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    assert proc.stdout.readline().startswith(b"# n=4096 ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_tokens_requires_zone_source(tmp_path, capsys):

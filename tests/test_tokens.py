@@ -2,8 +2,10 @@
 
 import heapq
 import io
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,12 @@ from hypothesis import strategies as st
 from hvezones import bench, tokens
 from hvezones.gray import bit_positions
 from hvezones.grid import Grid, GridEncoding
-from hvezones.optimizers import hge_baseline, msgo
+from hvezones.optimizers import gray_optimizer, hge_baseline, msgo
 from hvezones.tokens import (_cover_bits, _greedy_pick, _prune_redundant,
                              exact_cover, expand_implicant, greedy_cover,
-                             implicant_cost, implicant_pattern, minimize,
-                             pairing_cost, pattern_implicant, prime_implicants,
-                             write_token_set)
+                             implicant_cost, implicant_pattern, match_pairings,
+                             minimize, pairing_cost, pattern_implicant,
+                             prime_implicants, write_token_set)
 
 
 def identity_encoding(n, k):
@@ -546,3 +548,105 @@ def test_exact_path_cover_properties(problem):
     assert ts.cost == sum(len(p) - p.count("*") for p in ts.patterns)
     if k <= 4 and ts.exact:
         assert ts.cost == brute_force_min_cost(k, minterms, dontcares)
+
+
+# --- issue order ---
+
+def zone_matches(pattern, values):
+    """The codewords among `values` that `pattern` matches."""
+    return set(expand_implicant(pattern_implicant(pattern))) & values
+
+
+def rescan_issue_order(patterns, zone_values):
+    """Reference issue order: a full rescan per pick for the greatest exact
+    ratio of newly matched zone codewords to the token's pairings, then the
+    smallest pattern; also counts the picks made among tied positive
+    ratios."""
+    left = set(zone_values)
+    rest = list(patterns)
+    order, ties = [], 0
+    while rest:
+        keyed = sorted((-Fraction(len(zone_matches(p, left)),
+                                  2 * (len(p) - p.count("*")) + 1), p)
+                       for p in rest)
+        ties += len(keyed) > 1 and keyed[0][0] == keyed[1][0] < 0
+        pick = keyed[0][1]
+        order.append(pick)
+        rest.remove(pick)
+        left -= zone_matches(pick, left)
+    return order, ties
+
+
+@pytest.fixture(scope="module")
+def issued_covers():
+    """(token set, zone codewords) of zones at 10%, 30% and 60% under GO,
+    MSGO and HGE at n = 100 and 256, with and without don't-cares, then of
+    random encodings at k <= 7."""
+    model = bench.SigmoidModel(a=0.75, b=10.0)
+    out = []
+    for n in (100, 256):
+        rng = random.Random(f"issue/{n}")
+        grid = Grid.regular(n, bench.gen_probabilities(n, model, rng))
+        for enc in (gray_optimizer(grid), msgo(grid, depth=4), hge_baseline(grid)):
+            for fraction in (0.1, 0.3, 0.6):
+                zone = bench.sample_zone(grid.probabilities(), fraction, rng)
+                for dummy in (False, True):
+                    out.append((minimize(zone, enc, allow_dummy_cover=dummy),
+                                {enc.value(c) for c in zone}))
+    rng = random.Random(31)
+    for trial in range(200):
+        k = rng.randrange(2, 8)
+        n = rng.randrange(2, (1 << k) + 1)
+        enc = GridEncoding(n=n, k=k, forward=tuple(rng.sample(range(1 << k), n)),
+                           algorithm="r")
+        zone = rng.sample(range(n), rng.randrange(1, n + 1))
+        out.append((minimize(zone, enc, allow_dummy_cover=trial % 2 == 0),
+                    {enc.value(c) for c in zone}))
+    return out
+
+
+def test_match_pairings_stops_at_the_first_match():
+    patterns = ("00**", "0101")                       # 5 and 9 pairings
+    assert match_pairings(patterns, [0, 1, 2, 3]) == 4 * 5
+    assert match_pairings(patterns, [5]) == 5 + 9
+    assert match_pairings(patterns, [15]) == 5 + 9     # no match pays all
+    assert match_pairings(patterns[::-1], [0, 5]) == 9 + 5 + 9
+    assert match_pairings(patterns, []) == 0
+
+
+def test_issue_order_matches_full_rescan(issued_covers):
+    """The lazy heap issues exactly what a full rescan with exact ratios
+    would, on covers whose patterns overlap on zone codewords, whose picks
+    tie, and that reach dummy codewords."""
+    overlaps = ties = dummies = 0
+    for ts, zone_values in issued_covers:
+        want, tied = rescan_issue_order(ts.patterns, zone_values)
+        assert list(ts.patterns) == want
+        ties += tied
+        dummies += bool(ts.covered - zone_values)
+        matched = [zone_matches(p, zone_values) for p in ts.patterns]
+        overlaps += sum(len(m) for m in matched) > len(set().union(*matched))
+    assert overlaps > 10 and ties > 10 and dummies > 10
+
+
+def test_issue_order_is_optimal_on_disjoint_covers(issued_covers):
+    """Smith's ratio rule: when no zone codeword matches two patterns, no
+    order of at most 7 patterns makes zone users pay fewer pairings."""
+    checked = 0
+    for ts, zone_values in issued_covers:
+        matched = [zone_matches(p, zone_values) for p in ts.patterns]
+        if not 1 < len(ts.patterns) <= 7 or sum(map(len, matched)) != len(zone_values):
+            continue
+        best = min(match_pairings(order, zone_values)
+                   for order in itertools.permutations(ts.patterns))
+        assert match_pairings(ts.patterns, zone_values) == best
+        checked += 1
+    assert checked > 20
+
+
+def test_issue_order_cuts_zone_users_pairings(issued_covers):
+    """Zone users pay strictly fewer pairings in total than under sorted
+    order, on the same covers."""
+    issued = sum(match_pairings(ts.patterns, values) for ts, values in issued_covers)
+    text = sum(match_pairings(sorted(ts.patterns), values) for ts, values in issued_covers)
+    assert issued < text
