@@ -17,7 +17,8 @@ are built as arrays: one (2^n - 1) x n table of flip weights, normalized
 by row and scattered straight into CSR form.  They stay capped at n <= 20
 cells; the spatial chain takes about 0.2 s at n=16, 0.6 s with a 180 MB
 peak RSS at n=18, and 2.9 s with a 600 MB peak RSS at n=20 (2-vCPU VM,
-fresh process).
+fresh process).  `scipy.sparse` is imported only when an exact chain is
+built, so importing the package loads numpy and no part of scipy.
 
 The stationary distribution comes from power iteration (which doubles as
 the marginal distribution of the chain after m steps) or from chained
@@ -39,12 +40,14 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .grid import Grid
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 EXACT_CELL_CAP = 20
 ROW_SUM_TOL = 1e-12
@@ -123,6 +126,8 @@ def _flip_chain(n: int, weights: np.ndarray) -> TransitionMatrix:
     popcount(i & (2^j - 1)) when it is not.  Entries are scattered to that
     rank one cell at a time, with no sort and no full-size index array.
     """
+    from scipy import sparse
+
     totals = np.zeros(len(weights))
     for column in weights.T:    # left to right, like a scalar running sum
         totals += column

@@ -10,7 +10,8 @@ are dummies, usable as don't-cares during token minimization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, IO, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,9 +76,13 @@ class Grid:
             raise ValueError("n must be >= 1")
         cols = math.ceil(math.sqrt(n))
         rows = math.ceil(n / cols)
-        r, c = np.divmod(np.arange(n), cols)
-        return cls((c + 0.5) / cols, 1.0 - (r + 0.5) / rows,
-                   np.full(n, 0.5) if probs is None else probs)
+        # one value per column and per row, spread over the cells; made
+        # read-only so that the constructor shares rather than copies them
+        x = np.resize((np.arange(cols) + 0.5) / cols, n)
+        y = np.repeat(1.0 - (np.arange(rows) + 0.5) / rows, cols)[:n]
+        x.setflags(write=False)
+        y.setflags(write=False)
+        return cls(x, y, np.full(n, 0.5) if probs is None else probs)
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,6 @@ class GridEncoding:
     k: int
     forward: Tuple[int, ...]                       # cell id -> codeword value
     algorithm: str = "unknown"
-    _reverse: Dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.forward) != self.n:
@@ -103,12 +107,17 @@ class GridEncoding:
         if self.n and (min(self.forward) < 0 or max(self.forward) >= space):
             bad = next(v for v in self.forward if not 0 <= v < space)
             raise ValueError(f"codeword {bad} out of range for width {self.k}")
-        reverse = dict(zip(self.forward, range(self.n)))
-        if len(reverse) != self.n:
+        if len(set(self.forward)) != self.n:
             seen = set()
             bad = next(v for v in self.forward if v in seen or seen.add(v))
             raise ValueError(f"codeword {bad} assigned twice")
-        object.__setattr__(self, "_reverse", reverse)
+
+    @cached_property
+    def _reverse(self) -> Dict[int, int]:
+        """Codeword value -> cell id, built on the first lookup: most
+        encodings are only read forward.  A dict, not a 2^k array, since
+        k may reach 48."""
+        return dict(zip(self.forward, range(self.n)))
 
     @property
     def space(self) -> int:

@@ -358,10 +358,13 @@ def exact_cover(k: int, primes: List[Implicant],
             break
         sub, sub_cost = left & ~ranked[i], cost + costs[i]
         if sub == 0:
-            picked = chosen + [frame[3] for frame in stack] + [i]
-            key = (sub_cost, len(picked), tuple(sorted(patterns[j] for j in picked)))
-            if key < best_key:
-                best_key, best, bound = key, picked, sub_cost
+            # the pattern tuple is built only for a leaf that can win
+            size = len(chosen) + len(stack) + 1
+            if (sub_cost, size) <= best_key[:2]:
+                picked = chosen + [frame[3] for frame in stack] + [i]
+                key = (sub_cost, size, tuple(sorted(patterns[j] for j in picked)))
+                if key < best_key:
+                    best_key, best, bound = key, picked, sub_cost
         elif sub_cost + 1 <= bound:
             stack.append((left, cost, untried, i))
             left, cost = sub, sub_cost

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,36 @@ def test_encoding_rejects_duplicates_and_bad_width():
         GridEncoding(n=2, k=1, forward=(0, 2), algorithm="x")
     with pytest.raises(ValueError, match="^codeword -1 out of range for width 2$"):
         GridEncoding(n=3, k=2, forward=(0, -1, 3), algorithm="x")
+
+
+def test_encoding_builds_its_reverse_map_on_first_lookup():
+    """Construction holds no codeword -> cell map; the first `cell_at` or
+    `dummies` call builds it, and no answer, equality or hash changes."""
+    enc = GridEncoding(n=5, k=3, forward=(4, 0, 7, 2, 1), algorithm="GO")
+    twin = GridEncoding(n=5, k=3, forward=(4, 0, 7, 2, 1), algorithm="GO")
+    assert "_reverse" not in enc.__dict__
+    identity = (enc == twin, hash(enc) == hash(twin), hash(enc))
+    assert identity[:2] == (True, True)
+    cells = [1, 4, 3, None, 0, None, None, 2]
+    assert enc.dummies() == [3, 5, 6]
+    assert [enc.cell_at(v) for v in range(8)] == cells
+    assert [twin.cell_at(v) for v in range(8)] == cells
+    assert twin.dummies() == [3, 5, 6]
+    assert "_reverse" in enc.__dict__ and "_reverse" in twin.__dict__
+    assert (enc == twin, hash(enc) == hash(twin), hash(enc)) == identity
+
+
+def test_wide_encoding_never_allocates_its_codeword_space():
+    """HGE may deepen to k = 48; a k = 40 encoding constructs and answers
+    lookups in a few kilobytes, not 2^40 of anything."""
+    tracemalloc.start()
+    try:
+        enc = GridEncoding(n=3, k=40, forward=(0, 1 << 39, (1 << 40) - 1))
+        assert [enc.cell_at(v) for v in (0, 1, 1 << 39, (1 << 40) - 1)] == [0, None, 1, 2]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_minimal_width_is_ceil_log2():
