@@ -1,12 +1,16 @@
 """Reference composite-order bilinear group.
 
-Group elements live in a cyclic group of order N = P*Q and are represented
-by their exponent pair (a, b) with respect to a fixed pair of generators of
-the order-P and order-Q subgroups.  An element (a, b) stands for
-g_p^a * g_q^b; multiplication adds exponents componentwise and the pairing
-multiplies them into a target-group exponent pair:
+Group elements live in a cyclic group of order N = P*Q.  Fix generators
+g_p and g_q of the order-P and order-Q subgroups; the element
+g_p^a * g_q^b is stored as its CRT residue
 
-    e((a1, b1), (a2, b2)) = (a1*a2 mod P, b1*b2 mod Q)
+    x = a*e_p + b*e_q  (mod N),  e_p = Q*(Q^-1 mod P),  e_q = P*(P^-1 mod Q),
+
+so that x mod P = a and x mod Q = b (`element` and `split` convert).
+Multiplication adds residues, exponentiation scales them, and the pairing
+multiplies two residues into a target-group residue:
+
+    e(x, y) = x*y mod N,  which splits to (a1*a2 mod P, b1*b2 mod Q).
 
 This makes every bilinear-map identity hold exactly (bilinearity, symmetry,
 subgroup orthogonality) at the cost of being trivially breakable: anyone who
@@ -18,10 +22,10 @@ secure one.  A curve-based backend can replace it behind the same interface.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
-Element = Tuple[int, int]  # exponent pair (mod P, mod Q); used for G and G_T alike
+Element = int  # CRT residue mod N; used for G and G_T alike
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -69,21 +73,28 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class BilinearGroup:
-    """Symmetric composite-order pairing group with CRT-exponent elements.
+    """Symmetric composite-order pairing group with CRT-residue elements.
 
-    Fields `g` and `g_q` are the canonical generators of the full group and
-    of the order-Q subgroup.  Order-P elements have a zero Q-exponent and
-    vice versa.
+    Equality and hashing read only `p` and `q`; the modulus `n` and the
+    CRT idempotents `e_p`, `e_q` are derived once at construction.
+    Order-P elements are multiples of Q and vice versa.
     """
 
     p: int
     q: int
+    n: int = field(init=False, repr=False, compare=False)
+    e_p: int = field(init=False, repr=False, compare=False)
+    e_q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p) or not is_prime(self.q):
             raise GroupError("P and Q must both be prime")
         if self.p == self.q:
             raise GroupError("P and Q must be distinct")
+        p, q = self.p, self.q
+        object.__setattr__(self, "n", p * q)
+        object.__setattr__(self, "e_p", q * pow(q, -1, p))
+        object.__setattr__(self, "e_q", p * pow(p, -1, q))
 
     @classmethod
     def generate(cls, bits: int = 32, seed: int = 0) -> "BilinearGroup":
@@ -95,69 +106,71 @@ class BilinearGroup:
             q = gen_prime(bits, rng)
         return cls(p, q)
 
-    @property
-    def n(self) -> int:
-        return self.p * self.q
+    # --- CRT conversion ---
+
+    def element(self, a: int, b: int) -> Element:
+        """The element g_p^a * g_q^b."""
+        return (a * self.e_p + b * self.e_q) % self.n
+
+    def split(self, x: Element) -> Tuple[int, int]:
+        """The exponent pair (a mod P, b mod Q) of x = g_p^a * g_q^b."""
+        return x % self.p, x % self.q
 
     # --- canonical generators ---
 
     @property
     def g(self) -> Element:
         """Generator of the full order-N group."""
-        return (1, 1)
+        return 1
 
     @property
     def g_q(self) -> Element:
         """Generator of the order-Q subgroup."""
-        return (0, 1)
+        return self.e_q
 
     @property
     def identity(self) -> Element:
-        return (0, 0)
+        return 0
 
     # --- group law (same representation serves G and G_T) ---
 
     def mul(self, x: Element, y: Element) -> Element:
-        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.q)
+        return (x + y) % self.n
 
     def power(self, x: Element, k: int) -> Element:
-        return (x[0] * k % self.p, x[1] * k % self.q)
+        return x * k % self.n
 
     def inv(self, x: Element) -> Element:
-        return (-x[0] % self.p, -x[1] % self.q)
+        return -x % self.n
 
     def pair(self, x: Element, y: Element) -> Element:
         """Bilinear map into the target group."""
-        return (x[0] * y[0] % self.p, x[1] * y[1] % self.q)
+        return x * y % self.n
 
     def pair_product(self, xs: Sequence[Element], ys: Sequence[Element]) -> Element:
         """Multi-pairing: the target-group product of e(xs[i], ys[i]).
 
         Every factor is one `pair` call, so pairing counts stay exact;
-        the target exponents are summed and reduced once.  A curve backend
+        the target residues are summed and reduced once.  A curve backend
         puts its multi-pairing here, sharing one final exponentiation
         across the factors.  The empty product is the identity.
         """
         if len(xs) != len(ys):
             raise ValueError(f"{len(xs)} left factors but {len(ys)} right ones")
-        a = b = 0
-        for ta, tb in map(self.pair, xs, ys):
-            a += ta
-            b += tb
-        return (a % self.p, b % self.q)
+        return sum(map(self.pair, xs, ys)) % self.n
 
     # --- sampling ---
 
     def random_gp(self, rng: random.Random) -> Element:
         """Random non-identity element of the order-P subgroup."""
-        return (rng.randrange(1, self.p), 0)
+        return self.element(rng.randrange(1, self.p), 0)
 
     def random_gq(self, rng: random.Random) -> Element:
         """Random non-identity element of the order-Q subgroup."""
-        return (0, rng.randrange(1, self.q))
+        return self.element(0, rng.randrange(1, self.q))
 
     def random_element(self, rng: random.Random) -> Element:
-        return (rng.randrange(self.p), rng.randrange(self.q))
+        return self.element(rng.randrange(self.p), rng.randrange(self.q))
 
     def random_exp_p(self, rng: random.Random) -> int:
         """Random exponent in Z_P (nonzero)."""
@@ -171,8 +184,8 @@ class BilinearGroup:
 
     def in_gp(self, x: Element) -> bool:
         """Order divides P."""
-        return x[1] == 0
+        return x % self.q == 0
 
     def in_gq(self, x: Element) -> bool:
         """Order divides Q."""
-        return x[0] == 0
+        return x % self.p == 0

@@ -315,12 +315,17 @@ def exact_cover(k: int, primes: List[Implicant],
         cover = sorted(set(chosen), key=lambda i: patterns[i])
         return [primes[i] for i in cover], True
 
+    # a prime's rank in pattern-text order; sorted rank tuples compare as
+    # the sorted pattern tuples do, without comparing strings at a leaf
+    text_rank = [0] * len(primes)
+    for r, i in enumerate(sorted(range(len(primes)), key=patterns.__getitem__)):
+        text_rank[i] = r
     base_cost = sum(costs[i] for i in chosen)
     greedy = _greedy_pick(bit_positions(active), cover_bits, costs, remaining)
     greedy = _prune_redundant(greedy, cover_bits, costs, remaining, patterns)
     best = chosen + greedy
     best_key = (sum(costs[i] for i in best), len(best),
-                tuple(sorted(patterns[i] for i in best)))
+                tuple(sorted(text_rank[i] for i in best)))
 
     # Branch on the minterm with the fewest holders (lowest position on
     # ties).  That key is fixed for the whole search, so the minterms are
@@ -358,11 +363,11 @@ def exact_cover(k: int, primes: List[Implicant],
             break
         sub, sub_cost = left & ~ranked[i], cost + costs[i]
         if sub == 0:
-            # the pattern tuple is built only for a leaf that can win
+            # the rank tuple is built only for a leaf that can win
             size = len(chosen) + len(stack) + 1
             if (sub_cost, size) <= best_key[:2]:
                 picked = chosen + [frame[3] for frame in stack] + [i]
-                key = (sub_cost, size, tuple(sorted(patterns[j] for j in picked)))
+                key = (sub_cost, size, tuple(sorted(text_rank[j] for j in picked)))
                 if key < best_key:
                     best_key, best, bound = key, picked, sub_cost
         elif sub_cost + 1 <= bound:

@@ -3,18 +3,19 @@
 A blob is one version byte, one type tag byte, then a run of fields, each
 a 4-byte big-endian length followed by that many bytes.  An integer field
 is its big-endian magnitude (zero is the empty field) and a string field
-is its ASCII bytes.  A group element is two integer fields.  Each tag has
-one layout: a fixed head, one head field that declares a count, then that
-many entries of a fixed number of fields.  The public key embeds the
-group factors (P, Q) so it decodes standalone; this leaks the
-factorization, which is consistent with the reference group being
+is its ASCII bytes.  A group element is one integer field, its CRT
+residue mod N (see `group`), so a loader needs no group to read it.
+Each tag has one layout: a fixed head, one head field that declares a
+count, then that many entries of a fixed number of fields.  The public
+key embeds the group factors (P, Q) so it decodes standalone; this leaks
+the factorization, which is consistent with the reference group being
 deliberately insecure.
 
 Loaders split and bounds-check the whole blob, then check its field count
 against the count it declares, before any object is built.  They refuse,
-with WireError, a wrong version or tag, truncated blobs, trailing bytes,
-declared counts that disagree with the fields present, non-ASCII
-strings, public keys whose group factors are not two distinct primes,
+with WireError, a wrong version (version 1 wrote each element as two
+exponent fields) or tag, truncated blobs, trailing bytes, declared
+counts that disagree with the fields present, non-ASCII strings, public keys whose group factors are not two distinct primes,
 and tokens whose positions are not exactly their pattern's non-star
 positions in ascending order.
 
@@ -31,7 +32,7 @@ from typing import List, Union
 from .group import BilinearGroup, GroupError
 from .hve import Ciphertext, HveToken, PublicKey, check_pattern
 
-VERSION = 1
+VERSION = 2
 
 TAG_PUBLIC_KEY = 1
 TAG_CIPHERTEXT = 3
@@ -40,9 +41,9 @@ TAG_TOKEN = 4
 # tag -> (head fields, index of the head field declaring the count,
 # fields per counted entry)
 _LAYOUTS = {
-    TAG_PUBLIC_KEY: (9, 2, 6),  # P, Q, width, g_q, V, A | U_i, H_i, W_i
-    TAG_CIPHERTEXT: (5, 0, 4),  # width, C', C_0 | C_{i,1}, C_{i,2}
-    TAG_TOKEN: (4, 3, 5),       # pattern, K_0, |J| | i, K_{i,1}, K_{i,2}
+    TAG_PUBLIC_KEY: (6, 2, 3),  # P, Q, width, g_q, V, A | U_i, H_i, W_i
+    TAG_CIPHERTEXT: (3, 0, 2),  # width, C', C_0 | C_{i,1}, C_{i,2}
+    TAG_TOKEN: (3, 2, 3),       # pattern, K_0, |J| | i, K_{i,1}, K_{i,2}
 }
 
 _LENGTH = struct.Struct(">I")
@@ -99,9 +100,9 @@ def _ints(fields: List[bytes]) -> List[int]:
 
 
 def dump_public_key(pk: PublicKey) -> bytes:
-    fields = [pk.group.p, pk.group.q, pk.width, *pk.g_q, *pk.v_blinded, *pk.a_pair]
-    for u, h, w in zip(pk.u_blinded, pk.h_blinded, pk.w_blinded):
-        fields += u + h + w
+    fields = [pk.group.p, pk.group.q, pk.width, pk.g_q, pk.v_blinded, pk.a_pair]
+    for uhw in zip(pk.u_blinded, pk.h_blinded, pk.w_blinded):
+        fields += uhw
     return _pack(TAG_PUBLIC_KEY, fields)
 
 
@@ -111,30 +112,27 @@ def load_public_key(blob: bytes) -> PublicKey:
         group = BilinearGroup(n[0], n[1])
     except GroupError as exc:
         raise WireError(str(exc)) from exc
-    return PublicKey(group=group, g_q=(n[3], n[4]), v_blinded=(n[5], n[6]),
-                     a_pair=(n[7], n[8]), u_blinded=tuple(zip(n[9::6], n[10::6])),
-                     h_blinded=tuple(zip(n[11::6], n[12::6])),
-                     w_blinded=tuple(zip(n[13::6], n[14::6])))
+    return PublicKey(group=group, g_q=n[3], v_blinded=n[4], a_pair=n[5],
+                     u_blinded=tuple(n[6::3]), h_blinded=tuple(n[7::3]),
+                     w_blinded=tuple(n[8::3]))
 
 
 def dump_ciphertext(c: Ciphertext) -> bytes:
-    fields = [c.width, *c.c_prime, *c.c0]
-    for c1, c2 in zip(c.c1, c.c2):
-        fields += c1 + c2
+    fields = [c.width, c.c_prime, c.c0]
+    for c12 in zip(c.c1, c.c2):
+        fields += c12
     return _pack(TAG_CIPHERTEXT, fields)
 
 
 def load_ciphertext(blob: bytes) -> Ciphertext:
     n = _ints(_unpack(blob, TAG_CIPHERTEXT))
-    return Ciphertext(c_prime=(n[1], n[2]), c0=(n[3], n[4]),
-                      c1=tuple(zip(n[5::4], n[6::4])),
-                      c2=tuple(zip(n[7::4], n[8::4])))
+    return Ciphertext(c_prime=n[1], c0=n[2], c1=tuple(n[3::2]), c2=tuple(n[4::2]))
 
 
 def dump_token(tk: HveToken) -> bytes:
-    fields = [tk.pattern, *tk.k0, len(tk.positions)]
-    for i, k1, k2 in zip(tk.positions, tk.k1, tk.k2):
-        fields += (i, *k1, *k2)
+    fields = [tk.pattern, tk.k0, len(tk.positions)]
+    for entry in zip(tk.positions, tk.k1, tk.k2):
+        fields += entry
     return _pack(TAG_TOKEN, fields)
 
 
@@ -147,8 +145,8 @@ def load_token(blob: bytes) -> HveToken:
     except ValueError as exc:
         raise WireError(str(exc)) from exc
     n = _ints(fields)
-    positions = n[4::5]
+    positions = n[3::3]
     if positions != [i for i, ch in enumerate(pattern) if ch != "*"]:
         raise WireError("token positions are not the pattern's non-star positions")
-    return HveToken(pattern=pattern, k0=(n[1], n[2]), positions=tuple(positions),
-                    k1=tuple(zip(n[5::5], n[6::5])), k2=tuple(zip(n[7::5], n[8::5])))
+    return HveToken(pattern=pattern, k0=n[1], positions=tuple(positions),
+                    k1=tuple(n[4::3]), k2=tuple(n[5::3]))

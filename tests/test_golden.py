@@ -3,8 +3,9 @@ blobs and the experiment runners' CSV.
 
 Each case hashes the repr of an encoder's `forward` tuple, of a
 minimized zone's (sorted patterns, cost, exact) and of its patterns in
-issue order, of every (value, pairings, message) of a fixed query
-corpus, of the wire blobs of a fixed key, ciphertext and token corpus,
+issue order, of every (value's exponent pair, pairings, message) of a
+fixed query corpus, of the wire blobs of a fixed key, ciphertext and
+token corpus,
 or the CSV a CLI runner prints, on fixed seeds.  The pinned digests
 were taken before the code they cover was last optimized; a speed-up
 must reproduce them exactly, and a change that moves them on purpose has
@@ -19,7 +20,8 @@ import pytest
 from hvezones import bench, tokens, wire
 from hvezones.cli import main
 from hvezones.grid import Grid
-from hvezones.hve import MessageSpace, encrypt, gen_token, query, setup
+from hvezones.hve import (Ciphertext, MessageSpace, PublicKey, encrypt, gen_token,
+                          query, setup)
 from hvezones.optimizers import (OpCounter, gray_optimizer, hge_baseline,
                                  msgo, sgo)
 from hvezones.tokens import EXACT_SPACE_LIMIT, minimize
@@ -229,37 +231,81 @@ def test_query_digest():
                     else (str(1 - int(a)) if flip and rng.random() < 0.3 else a)
                     for a in attribute)
                 r = query(pk.group, c, gen_token(sk, pattern, rng), messages)
-                out.append((r.value, r.pairings, r.message))
+                out.append((pk.group.split(r.value), r.pairings, r.message))
     assert sum(m is not None for _, _, m in out) == 463
     assert digest(out) == QUERY_DIGEST
 
 
-# (width, seed) of each scheme in the wire corpus; every public key
-# carries g_q = (0, 1), whose zero exponent is a zero-length field
+# (width, seed) of each scheme in the wire corpus; every scheme's all-star
+# token declares an empty J, whose zero count is a zero-length field
 WIRE_SCHEMES = ((1, 11), (2, 12), (8, 13), (10, 14), (16, 15))
-WIRE_DIGEST = "ba31e4d31e8478d9a0d6dbed575ccf93de03c235de4129d5270f00062f0387df"
+WIRE_DIGEST = "d9966b5ced9e8790675c2830b7b930a32e7875ba61c49667a11bedc981a82806"
+# the same corpus in version 1, which wrote each element as its exponent
+# pair (two integer fields) where version 2 writes one CRT residue
+WIRE_V1_DIGEST = "ba31e4d31e8478d9a0d6dbed575ccf93de03c235de4129d5270f00062f0387df"
+
+
+def pack(version, tag, fields):
+    """A blob of integer and string fields, encoded independently of `wire`."""
+    out = [bytes((version, tag))]
+    for value in fields:
+        raw = (value.encode("ascii") if isinstance(value, str)
+               else value.to_bytes((value.bit_length() + 7) // 8, "big"))
+        out += [len(raw).to_bytes(4, "big"), raw]
+    return b"".join(out)
+
+
+def wire_v1(group, obj):
+    """The version-1 blob of a public key, ciphertext or token."""
+    def ints(*elements):
+        return [e for x in elements for e in group.split(x)]
+
+    if isinstance(obj, PublicKey):
+        fields = [group.p, group.q, obj.width, *ints(obj.g_q, obj.v_blinded, obj.a_pair)]
+        for uhw in zip(obj.u_blinded, obj.h_blinded, obj.w_blinded):
+            fields += ints(*uhw)
+        return pack(1, wire.TAG_PUBLIC_KEY, fields)
+    if isinstance(obj, Ciphertext):
+        fields = [obj.width, *ints(obj.c_prime, obj.c0)]
+        for c12 in zip(obj.c1, obj.c2):
+            fields += ints(*c12)
+        return pack(1, wire.TAG_CIPHERTEXT, fields)
+    fields = [obj.pattern, *ints(obj.k0), len(obj.positions)]
+    for i, k1, k2 in zip(obj.positions, obj.k1, obj.k2):
+        fields += [i, *ints(k1, k2)]
+    return pack(1, wire.TAG_TOKEN, fields)
 
 
 def test_wire_digest():
-    blobs = []
+    blobs, v1_blobs = [], []
+
+    def add(dump, group, obj):
+        blobs.append(dump(obj))
+        v1_blobs.append(wire_v1(group, obj))
+        return obj
+
     for width, seed in WIRE_SCHEMES:
         pk, sk = setup(width, seed=seed)
-        assert pk.g_q == (0, 1)
-        blobs.append(wire.dump_public_key(pk))
+        assert pk.group.split(pk.g_q) == (0, 1)
+        add(wire.dump_public_key, pk.group, pk)
         messages = MessageSpace(pk.group, [1, 2], seed=seed)
         rng = random.Random(f"golden/wire/{width}/{seed}")
         for attribute in ("0" * width, "1" * width,
                           "".join(rng.choice("01") for _ in range(width))):
             c = encrypt(pk, attribute, messages.element(rng.choice((1, 2))), rng)
-            blobs.append(wire.dump_ciphertext(c))
+            add(wire.dump_ciphertext, pk.group, c)
         one = rng.randrange(width)
-        for pattern in ("*" * width,
-                        "*" * one + rng.choice("01") + "*" * (width - one - 1),
+        all_star = add(wire.dump_token, pk.group, gen_token(sk, "*" * width, rng))
+        # pattern, K_0, then the count |J| = 0 as a zero-length field
+        assert blobs[-1] == pack(wire.VERSION, wire.TAG_TOKEN, ["*" * width, all_star.k0, 0])
+        assert blobs[-1].endswith(bytes(4))
+        for pattern in ("*" * one + rng.choice("01") + "*" * (width - one - 1),
                         "".join(rng.choice("01") for _ in range(width)),
                         "".join(rng.choice("01*") for _ in range(width))):
-            blobs.append(wire.dump_token(gen_token(sk, pattern, rng)))
+            add(wire.dump_token, pk.group, gen_token(sk, pattern, rng))
     assert len(blobs) == 8 * len(WIRE_SCHEMES)
     assert digest(blobs) == WIRE_DIGEST
+    assert digest(v1_blobs) == WIRE_V1_DIGEST
 
 
 # CLI runs whose stdout is hashed; timing's wall_ms column is dropped

@@ -1,8 +1,11 @@
-"""Reference bilinear group: primality, bilinearity, orthogonality."""
+"""Reference bilinear group: primality, bilinearity, orthogonality, and the
+CRT isomorphism between residues mod N and exponent pairs."""
 
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hvezones.group import BilinearGroup, GroupError, gen_prime, is_prime
 
@@ -96,3 +99,94 @@ def test_pair_product_matches_folded_pairings():
         assert grp.pair_product(xs, ys) == want
     with pytest.raises(ValueError):
         grp.pair_product([grp.g, grp.g], [grp.g])
+
+
+class PairGroup:
+    """The exponent-pair arithmetic the residues must be isomorphic to:
+    (a, b) stands for g_p^a * g_q^b."""
+
+    def __init__(self, p, q):
+        self.p, self.q = p, q
+        self.g, self.g_q, self.identity = (1, 1), (0, 1), (0, 0)
+
+    def mul(self, x, y):
+        return (x[0] + y[0]) % self.p, (x[1] + y[1]) % self.q
+
+    def power(self, x, k):
+        return x[0] * k % self.p, x[1] * k % self.q
+
+    def inv(self, x):
+        return -x[0] % self.p, -x[1] % self.q
+
+    def pair(self, x, y):
+        return x[0] * y[0] % self.p, x[1] * y[1] % self.q
+
+    def pair_product(self, xs, ys):
+        out = self.identity
+        for x, y in zip(xs, ys):
+            out = self.mul(out, self.pair(x, y))
+        return out
+
+    def random_gp(self, rng):
+        return rng.randrange(1, self.p), 0
+
+    def random_gq(self, rng):
+        return 0, rng.randrange(1, self.q)
+
+    def random_element(self, rng):
+        return rng.randrange(self.p), rng.randrange(self.q)
+
+
+@st.composite
+def groups(draw):
+    """A group with 8- to 32-bit prime factors."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = gen_prime(draw(st.integers(8, 32)), rng)
+    q = gen_prime(draw(st.integers(8, 32)), rng)
+    assume(p != q)
+    return BilinearGroup(p, q)
+
+
+exponents = st.integers(0, 2**40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups(), st.lists(st.tuples(exponents, exponents), min_size=2, max_size=6),
+       st.integers(-2**40, 2**40), st.integers(0, 2**32))
+def test_residues_are_isomorphic_to_exponent_pairs(grp, pairs, k, seed):
+    ref = PairGroup(grp.p, grp.q)
+    for a, b in pairs:
+        assert grp.split(grp.element(a, b)) == (a % grp.p, b % grp.q)
+    xs = [grp.element(a, b) for a, b in pairs]
+    rs = [grp.split(x) for x in xs]
+    for x in xs:
+        assert 0 <= x < grp.n
+        assert grp.element(*grp.split(x)) == x
+    x, y, rx, ry = xs[0], xs[1], rs[0], rs[1]
+    assert grp.split(grp.mul(x, y)) == ref.mul(rx, ry)
+    assert grp.split(grp.power(x, k)) == ref.power(rx, k)
+    assert grp.split(grp.inv(x)) == ref.inv(rx)
+    assert grp.split(grp.pair(x, y)) == ref.pair(rx, ry)
+    half = len(xs) // 2
+    assert (grp.split(grp.pair_product(xs[:half], xs[half:2 * half]))
+            == ref.pair_product(rs[:half], rs[half:2 * half]))
+    for name in ("g", "g_q", "identity"):
+        assert grp.split(getattr(grp, name)) == getattr(ref, name)
+    assert grp.in_gp(x) == (rx[1] == 0)
+    assert grp.in_gq(x) == (rx[0] == 0)
+    for name, shape in (("random_gp", lambda r: (r[0], 0)),
+                        ("random_gq", lambda r: (0, r[1])),
+                        ("random_element", lambda r: r)):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got, want = getattr(grp, name)(rng), getattr(ref, name)(ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+        assert grp.split(got) == want == shape(want)
+
+
+def test_group_equality_reads_only_the_factors():
+    grp = BilinearGroup.generate(seed=6)
+    twin = BilinearGroup(grp.p, grp.q)
+    assert twin == grp and hash(twin) == hash(grp)
+    assert (twin.n, twin.e_p, twin.e_q) == (grp.n, grp.e_p, grp.e_q)
+    assert grp.split(grp.e_p) == (1, 0) and grp.split(grp.e_q) == (0, 1)
+    assert repr(grp) == f"BilinearGroup(p={grp.p}, q={grp.q})"
