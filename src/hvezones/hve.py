@@ -243,7 +243,7 @@ def query(group: BilinearGroup,
     C' * prod_{i in J} e(C_{i,1}, K_{i,1}) e(C_{i,2}, K_{i,2}) / e(C_0, K_0),
     with the 2*|J| position pairings taken as one multi-pairing.
     """
-    if c.width != tk.width:
+    if len(c.c1) != len(tk.pattern):
         raise ValueError(f"ciphertext width {c.width} != token width {tk.width}")
     positions = tk.positions
     if len(positions) > 1:

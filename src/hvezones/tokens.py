@@ -13,16 +13,28 @@ reductions and branch-and-bound on the minterm with the fewest holders (a
 deterministic node budget keeps degenerate dense cores from stalling;
 exhausting it falls back to the greedy incumbent and clears the `exact`
 flag).  Above 4096 allowed codewords a deterministic greedy set cover over
-prime cubes grown on demand from each minterm is used instead; those
-covers are flagged approximate as well.
-The greedy pick is lazy (a heap of possibly stale gains, rechecked when
-popped) and chooses exactly what a full rescan per pick would.
+prime cubes grown from each minterm is used instead; those covers are
+flagged approximate as well.  The greedy pick is lazy (a heap of possibly
+stale gains, rechecked when popped) and chooses exactly what a full rescan
+per pick would.
 
 The server stops at a user's first matching token, so the cover's
 patterns are issued match-first: next the pattern matching the most zone
-minterms not yet matched per pairing it costs, ties by pattern text,
-every zone cell weighted alike (no user sits on a dummy codeword).  The
-order changes no cover, cost or pairing_cost, only what zone users pay.
+minterms not yet matched per pairing it costs, every zone cell weighted
+alike (no user sits on a dummy codeword).  The order changes no cover,
+cost or pairing_cost, only what zone users pay.
+
+Each `minimize` call derives the candidates' columns once, in one
+`PrimeTable`: every implicant in (cost, pattern) order with its cost,
+pattern text, text rank and minterm bitmask.  The cover search, the
+greedy cover, the issue order and the `TokenSet` read it by index.  Ties
+are broken by the implicants, never by where they sit in the table:
+- the exact path's greedy incumbent takes most new minterms, then the
+  cheapest, then the smaller text (which within one cost is table order);
+- the greedy path takes most new minterms, then the cheapest, then the
+  smaller (mask, value);
+- the issue order breaks equal ratios by text, and issues the patterns
+  that add nothing last, in text order.
 """
 
 from __future__ import annotations
@@ -44,28 +56,18 @@ Implicant = Tuple[int, int]  # (star mask, value with star bits zeroed)
 
 def implicant_pattern(imp: Implicant, k: int) -> str:
     mask, value = imp
-    chars = []
-    for pos in range(k - 1, -1, -1):
-        if mask >> pos & 1:
-            chars.append("*")
-        else:
-            chars.append("1" if value >> pos & 1 else "0")
+    chars = list(format(value, f"0{k}b"))
+    for pos in bit_positions(mask):
+        chars[k - 1 - pos] = "*"
     return "".join(chars)
 
 
 def pattern_implicant(pattern: str) -> Implicant:
-    mask = 0
-    value = 0
     for ch in pattern:
-        mask <<= 1
-        value <<= 1
-        if ch == "*":
-            mask |= 1
-        elif ch == "1":
-            value |= 1
-        elif ch != "0":
+        if ch not in "01*":
             raise ValueError(f"bad pattern symbol {ch!r}")
-    return mask, value
+    return (int(pattern.replace("1", "0").replace("*", "1") or "0", 2),
+            int(pattern.replace("*", "0") or "0", 2))
 
 
 def implicant_cost(imp: Implicant, k: int) -> int:
@@ -86,11 +88,8 @@ def expand_implicant(imp: Implicant) -> List[int]:
 
 @dataclass(frozen=True)
 class TokenSet:
-    """Minimized pattern cover of one alert zone under one encoding.
-
-    `patterns` is in issue order: most newly matched zone cells per pairing
-    first, ties by pattern text.
-    """
+    """Minimized pattern cover of one alert zone under one encoding, its
+    patterns in issue order."""
 
     patterns: Tuple[str, ...]
     covered: FrozenSet[int]     # codeword values the patterns expand to
@@ -148,6 +147,33 @@ def _cover_bits(implicants: List[Implicant], minterms: Set[int]) -> List[int]:
     return out
 
 
+@dataclass(frozen=True)
+class PrimeTable:
+    """One cover problem's implicants in (cost, pattern) order, each column
+    derived once; every cover step names an implicant by its index here."""
+
+    primes: List[Implicant]
+    costs: List[int]            # non-star bits
+    patterns: List[str]
+    rank: List[int]             # position in pattern-text order
+    bits: List[int]             # minterms covered, as `_cover_bits` gives them
+    full: int                   # every minterm's bit
+
+    @classmethod
+    def build(cls, k: int, implicants: Iterable[Implicant],
+              minterms: Set[int]) -> "PrimeTable":
+        # patterns are unique, so the sort never compares implicants
+        keyed = sorted((implicant_cost(p, k), implicant_pattern(p, k), p)
+                       for p in implicants)
+        primes = [p for _, _, p in keyed]
+        patterns = [pattern for _, pattern, _ in keyed]
+        rank = [0] * len(primes)
+        for r, i in enumerate(sorted(range(len(primes)), key=patterns.__getitem__)):
+            rank[i] = r
+        return cls(primes, [cost for cost, _, _ in keyed], patterns, rank,
+                   _cover_bits(primes, minterms), (1 << len(minterms)) - 1)
+
+
 def _lazy_picks(candidates: Iterable[int], cover_bits: List[int], full: int,
                 key: Callable[[int, int], tuple]) -> Tuple[List[int], int]:
     """Indices in the order a full rescan would pick them, each time the
@@ -181,18 +207,18 @@ def _lazy_picks(candidates: Iterable[int], cover_bits: List[int], full: int,
 
 
 def _greedy_pick(candidates: Iterable[int], cover_bits: List[int],
-                 costs: List[int], full: int) -> List[int]:
+                 costs: List[int], full: int, tie: Sequence) -> List[int]:
     """Deterministic greedy cover: most new minterms, then cheapest, then
-    lowest index."""
+    least `tie` (unique per index)."""
     chosen, left = _lazy_picks(candidates, cover_bits, full,
-                               lambda gain, idx: (-gain, costs[idx], idx))
+                               lambda gain, idx: (-gain, costs[idx], tie[idx]))
     if left:
         raise ValueError("cover is infeasible")
     return chosen
 
 
 def _prune_redundant(chosen: List[int], cover_bits: List[int], costs: List[int],
-                     full: int, tie: List[str]) -> List[int]:
+                     full: int, tie: Sequence) -> List[int]:
     """Drop patterns whose removal leaves the zone covered, costliest first.
 
     `chosen` must cover `full`.  A pattern can go when every minterm it
@@ -225,27 +251,18 @@ def _holder_masks(active: int, cover_bits: List[int], remaining: int) -> List[in
     return holders
 
 
-def exact_cover(k: int, primes: List[Implicant],
-                minterms: Set[int]) -> Tuple[List[Implicant], bool]:
-    """Minimum-cost cover of the minterms by prime implicants.
+def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
+    """Minimum-cost cover of the minterms by the table's primes, as indices
+    in text order.
 
     Ties prefer fewer patterns, then the lexicographically smaller sorted
     pattern list.  Returns (cover, certified); certified is False only if
     the branch-and-bound budget ran out and the incumbent was kept.
     """
-    # patterns are unique, so sorting (cost, pattern, prime) never
-    # compares primes
-    keyed = sorted((implicant_cost(p, k), implicant_pattern(p, k), p)
-                   for p in primes)
-    costs = [cost for cost, _, _ in keyed]
-    patterns = [pattern for _, pattern, _ in keyed]
-    primes = [p for _, _, p in keyed]
-    cover_bits = _cover_bits(primes, minterms)
-    full = (1 << len(minterms)) - 1
-
+    costs, cover_bits, text_rank = table.costs, table.bits, table.rank
     chosen: List[int] = []
-    remaining = full
-    active = (1 << len(primes)) - 1     # bit i set while prime i is live
+    remaining = table.full
+    active = (1 << len(costs)) - 1      # bit i set while prime i is live
 
     # reductions to a cyclic core; primes are indexed in (cost, pattern)
     # order, so a lower index is never costlier
@@ -312,17 +329,13 @@ def exact_cover(k: int, primes: List[Implicant],
                     break
 
     if not remaining:
-        cover = sorted(set(chosen), key=lambda i: patterns[i])
-        return [primes[i] for i in cover], True
+        return sorted(set(chosen), key=text_rank.__getitem__), True
 
-    # a prime's rank in pattern-text order; sorted rank tuples compare as
-    # the sorted pattern tuples do, without comparing strings at a leaf
-    text_rank = [0] * len(primes)
-    for r, i in enumerate(sorted(range(len(primes)), key=patterns.__getitem__)):
-        text_rank[i] = r
+    # sorted rank tuples compare as the sorted pattern tuples do, without
+    # comparing strings at a leaf; within one cost, text rank is index order
     base_cost = sum(costs[i] for i in chosen)
-    greedy = _greedy_pick(bit_positions(active), cover_bits, costs, remaining)
-    greedy = _prune_redundant(greedy, cover_bits, costs, remaining, patterns)
+    greedy = _greedy_pick(bit_positions(active), cover_bits, costs, remaining, text_rank)
+    greedy = _prune_redundant(greedy, cover_bits, costs, remaining, text_rank)
     best = chosen + greedy
     best_key = (sum(costs[i] for i in best), len(best),
                 tuple(sorted(text_rank[i] for i in best)))
@@ -336,7 +349,7 @@ def exact_cover(k: int, primes: List[Implicant],
     order = sorted(bit_positions(remaining),
                    key=lambda pos: (holders[pos].bit_count(), pos))
     holders_at = [bit_positions(holders[pos]) for pos in order]
-    ranked = [0] * len(primes)
+    ranked = [0] * len(costs)
     for r, held in enumerate(holders_at):
         for i in held:
             ranked[i] |= 1 << r
@@ -375,8 +388,7 @@ def exact_cover(k: int, primes: List[Implicant],
             left, cost = sub, sub_cost
             untried = iter(holders_at[(left & -left).bit_length() - 1])
 
-    cover = sorted(set(best), key=lambda i: patterns[i])
-    return [primes[i] for i in cover], nodes <= BRANCH_NODE_BUDGET
+    return sorted(set(best), key=text_rank.__getitem__), nodes <= BRANCH_NODE_BUDGET
 
 
 # --- greedy path for more than EXACT_SPACE_LIMIT allowed codewords ---
@@ -384,58 +396,46 @@ def exact_cover(k: int, primes: List[Implicant],
 def _grow_prime_cube(minterm: int, k: int, allowed: Set[int]) -> Implicant:
     """Expand a minterm into a maximal cube inside `allowed`, trying star
     positions in ascending order; the result is a prime implicant."""
-    mask = 0
-    value = minterm
+    mask, value = 0, minterm
     for b in range(k):
         bit = 1 << b
-        other = value ^ bit
-        ok = True
-        sub = mask
-        while True:
-            if other | sub not in allowed:
-                ok = False
-                break
-            if sub == 0:
+        other, sub = value ^ bit, mask
+        # grow across bit b when every codeword the step adds is allowed
+        while other | sub in allowed:
+            if not sub:
+                mask |= bit
+                value &= ~bit
                 break
             sub = (sub - 1) & mask
-        if ok:
-            mask |= bit
-            value &= ~bit
     return mask, value
 
 
-def greedy_cover(k: int, minterms: Set[int], dontcares: Set[int]) -> List[Implicant]:
-    allowed = minterms | dontcares
-    cubes = sorted({_grow_prime_cube(m, k, allowed) for m in minterms})
-    costs = [implicant_cost(c, k) for c in cubes]
-    pats = [implicant_pattern(c, k) for c in cubes]
-    cover_bits = _cover_bits(cubes, minterms)
-    full = (1 << len(minterms)) - 1
-    chosen = _greedy_pick(range(len(cubes)), cover_bits, costs, full)
-    chosen = _prune_redundant(chosen, cover_bits, costs, full, pats)
-    return [cubes[i] for i in sorted(chosen, key=lambda i: pats[i])]
+def greedy_cover(table: PrimeTable) -> List[int]:
+    """Greedy cover by the table's cubes, as indices in text order: most new
+    minterms, then cheapest, then the least (mask, value); then redundant
+    cubes are pruned, costliest first."""
+    chosen = _greedy_pick(range(len(table.primes)), table.bits, table.costs,
+                          table.full, table.primes)
+    chosen = _prune_redundant(chosen, table.bits, table.costs, table.full, table.rank)
+    return sorted(chosen, key=table.rank.__getitem__)
 
 
 # --- issue order ---
 
-def _issue_order(cover: List[Implicant], k: int, minterms: Set[int]) -> List[str]:
+def _issue_order(table: PrimeTable, cover: List[int]) -> List[str]:
     """The cover's patterns in the order the server should try them: next
     the one matching the most not yet matched minterms per pairing it costs
-    (2 per non-star bit plus 1), ties by pattern text, then any that add
+    (2 per non-star bit plus 1), ties by text rank, then any that add
     nothing in text order.  This is Smith's ratio rule, optimal when no
     minterm matches two patterns, and the greedy min-sum set-cover order
     otherwise.  gain / cost as a float orders exactly: division rounds
-    correctly, and distinct ratios of such small integers lie far apart in
-    float precision.
+    correctly, and distinct ratios of such small integers lie far apart.
     """
-    pats = [implicant_pattern(c, k) for c in cover]
-    pairings = [2 * implicant_cost(c, k) + 1 for c in cover]
-    first, _ = _lazy_picks(range(len(cover)), _cover_bits(cover, minterms),
-                           (1 << len(minterms)) - 1,
-                           lambda gain, idx: (-gain / pairings[idx], pats[idx]))
-    picked = set(first)
-    rest = sorted(pats[i] for i in range(len(cover)) if i not in picked)
-    return [pats[i] for i in first] + rest
+    costs, rank = table.costs, table.rank
+    first, _ = _lazy_picks(cover, table.bits, table.full,
+                           lambda gain, i: (-gain / (2 * costs[i] + 1), rank[i]))
+    rest = sorted(set(cover).difference(first), key=rank.__getitem__)
+    return [table.patterns[i] for i in first + rest]
 
 
 def match_pairings(patterns: Sequence[str], values: Iterable[int]) -> int:
@@ -470,27 +470,27 @@ def minimize(zone: Iterable[int], enc: GridEncoding,
     dontcares = set(enc.dummies()) if allow_dummy_cover else set()
     k = enc.k
 
-    allowed = len(minterms | dontcares)
-    if allowed == 1 << k:
-        cover: List[Implicant] = [((1 << k) - 1, 0)]
-        certified = True
-    elif allowed <= EXACT_SPACE_LIMIT:
-        primes = prime_implicants(k, minterms, dontcares)
-        cover, certified = exact_cover(k, primes, minterms)
+    allowed = minterms | dontcares
+    if len(allowed) == 1 << k:
+        table = PrimeTable.build(k, [((1 << k) - 1, 0)], minterms)
+        cover, certified = [0], True
+    elif len(allowed) <= EXACT_SPACE_LIMIT:
+        table = PrimeTable.build(k, prime_implicants(k, minterms, dontcares), minterms)
+        cover, certified = exact_cover(table)
     else:
-        cover = greedy_cover(k, minterms, dontcares)
-        certified = False
+        cubes = {_grow_prime_cube(m, k, allowed) for m in minterms}
+        table = PrimeTable.build(k, cubes, minterms)
+        cover, certified = greedy_cover(table), False
 
-    patterns = tuple(_issue_order(cover, k, minterms))
-    covered = frozenset(v for c in cover for v in expand_implicant(c))
-    cost = sum(implicant_cost(c, k) for c in cover)
-    return TokenSet(patterns=patterns, covered=covered, cost=cost, exact=certified)
+    return TokenSet(
+        patterns=tuple(_issue_order(table, cover)),
+        covered=frozenset(v for i in cover for v in expand_implicant(table.primes[i])),
+        cost=sum(table.costs[i] for i in cover), exact=certified)
 
 
 def write_token_set(fp: IO[str], ts: TokenSet, zone_size: int, encoder: str) -> None:
-    """One msb-first pattern per line under a cost header, in issue order:
-    the order the server tries them, most newly matched zone cells per
-    pairing first."""
+    """One msb-first pattern per line under a cost header, in issue order
+    (the order the server tries them)."""
     fp.write(f"# cost={ts.cost} zone_size={zone_size} encoder={encoder}"
              f" exact={'yes' if ts.exact else 'no'}\n")
     for pattern in ts.patterns:

@@ -84,19 +84,26 @@ ENCODING_DIGESTS = {
     "HGE/50625/5/sigmoid": "a713af9ddaacbc8716526f2058ddb8b9656fde6cab2921e1091d4ed0858c2479",
 }
 
-# (encoder, n, seed, zone fraction, dummy cover); a cover that may use at
-# most EXACT_SPACE_LIMIT codewords (minterms plus don't-cares) takes the
-# exact path at any width, so only HGE/5000/7/0.05/True (11634 allowed
-# codewords at k = 14) takes the greedy one
+# the cases above EXACT_SPACE_LIMIT allowed codewords (minterms plus
+# don't-cares), which take the greedy path; every other case takes the
+# exact one.  All but HGE/5000/7/0.05/True move when the greedy pick ties
+# by (cost, pattern) instead of by (mask, value).
+GREEDY_CASES = [
+    ("HGE", 5000, 7, 0.05, True), ("HGE", 5000, 7, 0.15, True),
+    ("HGE", 9000, 7, 0.05, True), ("SGO", 9000, 7, 0.15, True),
+    ("SGO", 9000, 8, 0.02, True),
+]
+
+# (encoder, n, seed, zone fraction, dummy cover)
 MINIMIZE_CASES = [
     ("SGO", 100, 5, 0.3, True), ("SGO", 100, 5, 0.3, False),
     ("HGE", 100, 5, 0.3, True), ("HGE", 100, 5, 0.3, False),
     ("MSGO", 256, 6, 0.1, False), ("HGE", 256, 6, 0.1, False),
     ("MSGO", 256, 6, 0.6, False), ("HGE", 256, 6, 0.6, False),
     ("SGO", 5000, 7, 0.05, True), ("SGO", 5000, 7, 0.05, False),
-    ("HGE", 5000, 7, 0.05, True), ("HGE", 5000, 7, 0.05, False),
+    ("HGE", 5000, 7, 0.05, False),
     ("SGO", 5000, 7, 0.3, False), ("HGE", 5000, 7, 0.3, False),
-]
+] + GREEDY_CASES
 
 MINIMIZE_DIGESTS = {
     "SGO/100/5/0.3/True": "415ed107d53799693b66c29ccdbc0e52c649ae346c0f14d32f3fae10591855b9",
@@ -110,6 +117,10 @@ MINIMIZE_DIGESTS = {
     "SGO/5000/7/0.05/True": "cf9bda12f642d75aa9ac60381c6416dfcf30c482ce5975154a6d15249b129736",
     "SGO/5000/7/0.05/False": "8e7784479f9aa3c128f322660beb82f60e06f3f5f7bac9d09697b98917c3d9c7",
     "HGE/5000/7/0.05/True": "7b10d8d6006269626eed39a751945c15e6eb82ac601951a8fe9a6848c2c32954",
+    "HGE/5000/7/0.15/True": "06914af0ccb098c82acb5ccf2270ad3ffc62554b9884445a4b0d0dce3afcc376",
+    "HGE/9000/7/0.05/True": "28b149c7d83fdfc362b34a5be2104db90401a02cc887550027d70cc2d73c9c4f",
+    "SGO/9000/7/0.15/True": "3c1213e230734519e66b91d5bb09ab3b085690de0defb53bdaff87a2435c718e",
+    "SGO/9000/8/0.02/True": "a6de1ef7e32ab57201e8d21c03bb9d2d3017fd6a63041870494d68f3a6117bd8",
     "HGE/5000/7/0.05/False": "04a7d1a69aa1e61e089738dfc6fe4218675de1d3cced3b930333507c485021d2",
     "SGO/5000/7/0.3/False": "6d1c74f4659e637b07e2f064112cd5b5415945ba223ac31301bc0642fa63e504",
     "HGE/5000/7/0.3/False": "be00049f03e5dd284b78034f107956744c39fa7cb88088c7cd0504e72f9d9889",
@@ -128,6 +139,10 @@ ISSUE_ORDER_DIGESTS = {
     "SGO/5000/7/0.05/True": "b63310036cf988a370d6a8a75adc10c2683f0d3e03adba80d88f5ab996ab9f8d",
     "SGO/5000/7/0.05/False": "e33530eb73dac6fca42d16ef69dede50cdfb5ae6e52d1c859a8ea50d5a0fbcd0",
     "HGE/5000/7/0.05/True": "8a7013a84603e40cf427d33aa15ca609c426164ad970f01e27a02b518c4d3c50",
+    "HGE/5000/7/0.15/True": "a8dee7a3dac1741d241866f196fdabe32ed7fcfbd81ce6f92788559963beb520",
+    "HGE/9000/7/0.05/True": "d778b01607ce749734e45caa800ad9cb4418bb5b34ec8dca51e503de68dd8384",
+    "SGO/9000/7/0.15/True": "46c94bfa50fdefc648d1d341bced384beb15fce513e1d208aaa78bdf11bc6b36",
+    "SGO/9000/8/0.02/True": "4ee05d98e1890f7efc06e03765c84b77e5dc828321f5f6471599a525cce83b15",
     "HGE/5000/7/0.05/False": "2fa44bb0960432e393531a5025608d1d025b6f63d787116f92c73fcc1615c5f5",
     "SGO/5000/7/0.3/False": "5b311b655df9b739b3696e8eefb81931bebed2b3b4dd7dcf8bf0e0af62c57fc4",
     "HGE/5000/7/0.3/False": "42fc33530ce8afb831a8a9647be52d92dc13a454faffbb24ffebac6173517de1",
@@ -203,7 +218,7 @@ def test_minimize_digest(algorithm, n, seed, fraction, dummy, monkeypatch):
     key = f"{algorithm}/{n}/{seed}/{fraction}/{dummy}"
     allowed = len(zone) + (len(enc.dummies()) if dummy else 0)
     assert (bool(greedy_calls) == (allowed > EXACT_SPACE_LIMIT)
-            == (key == "HGE/5000/7/0.05/True"))
+            == ((algorithm, n, seed, fraction, dummy) in GREEDY_CASES))
     assert digest((tuple(sorted(ts.patterns)), ts.cost, ts.exact)) == MINIMIZE_DIGESTS[key]
     assert digest(ts.patterns) == ISSUE_ORDER_DIGESTS[key]
 

@@ -15,7 +15,8 @@ from hvezones import bench, tokens
 from hvezones.gray import bit_positions
 from hvezones.grid import Grid, GridEncoding
 from hvezones.optimizers import gray_optimizer, hge_baseline, msgo
-from hvezones.tokens import (_cover_bits, _greedy_pick, _prune_redundant,
+from hvezones.tokens import (PrimeTable, _cover_bits, _greedy_pick,
+                             _grow_prime_cube, _issue_order, _prune_redundant,
                              exact_cover, expand_implicant, greedy_cover,
                              implicant_cost, implicant_pattern, match_pairings,
                              minimize, pairing_cost, pattern_implicant,
@@ -24,6 +25,14 @@ from hvezones.tokens import (_cover_bits, _greedy_pick, _prune_redundant,
 
 def identity_encoding(n, k):
     return GridEncoding(n=n, k=k, forward=tuple(range(n)), algorithm="ID")
+
+
+def greedy_table(k, minterms, dontcares):
+    """The table `minimize` builds on the greedy path: one prime cube grown
+    from each minterm."""
+    allowed = minterms | dontcares
+    return PrimeTable.build(k, {_grow_prime_cube(m, k, allowed) for m in minterms},
+                            minterms)
 
 
 def brute_force_min_cost(k, minterms, dontcares):
@@ -96,7 +105,7 @@ def test_exact_cover_full_space_is_the_all_star_cube(k):
                                 ({0, full}, set(range(1, full)))):
         primes = prime_implicants(k, minterms, dontcares)
         assert primes == [(full, 0)]
-        assert exact_cover(k, primes, minterms) == ([(full, 0)], True)
+        assert exact_cover(PrimeTable.build(k, primes, minterms)) == ([0], True)
 
 
 def test_errors():
@@ -211,8 +220,8 @@ def test_wide_zone_without_dontcares_is_certified():
     assert ts.exact
     minterms = {enc.value(c) for c in zone}
     assert ts.covered == minterms
-    greedy = greedy_cover(13, minterms, set())
-    assert ts.cost <= sum(implicant_cost(c, 13) for c in greedy)
+    table = greedy_table(13, minterms, set())
+    assert ts.cost <= sum(table.costs[i] for i in greedy_cover(table))
 
 
 def test_exact_cover_deep_search_needs_no_recursion():
@@ -220,10 +229,10 @@ def test_exact_cover_deep_search_needs_no_recursion():
     recursion limit; the loop returns, uncertified once the budget runs
     out."""
     minterms = set(random.Random(1).sample(range(1 << 13), 4096))
-    cover, certified = exact_cover(13, prime_implicants(13, minterms, set()),
-                                   minterms)
+    table = PrimeTable.build(13, prime_implicants(13, minterms, set()), minterms)
+    cover, certified = exact_cover(table)
     assert not certified
-    assert {v for c in cover for v in expand_implicant(c)} == minterms
+    assert {v for i in cover for v in expand_implicant(table.primes[i])} == minterms
 
 
 def test_greedy_cover_prime_cubes_cannot_grow():
@@ -231,7 +240,8 @@ def test_greedy_cover_prime_cubes_cannot_grow():
     minterms = set(rng.sample(range(1 << 13), 500))
     dontcares = set(rng.sample(sorted(set(range(1 << 13)) - minterms), 2000))
     allowed = minterms | dontcares
-    for mask, value in greedy_cover(13, minterms, dontcares):
+    table = greedy_table(13, minterms, dontcares)
+    for mask, value in (table.primes[i] for i in greedy_cover(table)):
         for bit in (1 << b for b in range(13) if not mask >> b & 1):
             grown = expand_implicant((mask | bit, value & ~bit))
             assert not all(v in allowed for v in grown)
@@ -292,7 +302,9 @@ def rescan_greedy_pick(candidates, cover_bits, costs, full):
 
 def test_lazy_greedy_pick_matches_full_rescan():
     """Random instances with many gain and cost ties: few minterms, small
-    cubes, two cost levels, candidates in shuffled order."""
+    cubes, two cost levels, candidates in shuffled order.  Ties go by a
+    random permutation `tie`; the reference, which ties by index, runs on
+    the instance relabelled by it."""
     rng = random.Random(17)
     for trial in range(400):
         width = rng.randrange(1, 24)
@@ -302,17 +314,22 @@ def test_lazy_greedy_pick_matches_full_rescan():
                       for _ in range(count)]
         costs = [rng.randrange(1, 3) for _ in range(count)]
         candidates = rng.sample(range(count), rng.randrange(1, count + 1))
+        tie = list(range(count)) if trial % 2 else rng.sample(range(count), count)
         reachable = 0
         for idx in candidates:
             reachable |= cover_bits[idx]
         full = reachable if trial % 4 else reachable | rng.getrandbits(width)
+        relabelled_bits, relabelled_costs = [0] * count, [0] * count
+        for idx in range(count):
+            relabelled_bits[tie[idx]], relabelled_costs[tie[idx]] = cover_bits[idx], costs[idx]
         try:
-            want = rescan_greedy_pick(candidates, cover_bits, costs, full)
+            want = rescan_greedy_pick([tie[idx] for idx in candidates], relabelled_bits,
+                                      relabelled_costs, full)
         except ValueError:
             with pytest.raises(ValueError):
-                _greedy_pick(candidates, cover_bits, costs, full)
+                _greedy_pick(candidates, cover_bits, costs, full, tie)
             continue
-        assert _greedy_pick(candidates, cover_bits, costs, full) == want
+        assert [tie[idx] for idx in _greedy_pick(candidates, cover_bits, costs, full, tie)] == want
 
 
 def union_prune_redundant(chosen, cover_bits, costs, full, tie):
@@ -426,7 +443,7 @@ def min_pivot_exact_cover(k, primes, minterms):
         return [primes[i] for i in sorted(set(chosen), key=lambda i: patterns[i])], True
 
     base_cost = sum(costs[i] for i in chosen)
-    greedy = _greedy_pick(active, cover_bits, costs, remaining)
+    greedy = _greedy_pick(active, cover_bits, costs, remaining, range(len(primes)))
     greedy = _prune_redundant(greedy, cover_bits, costs, remaining, patterns)
     best = chosen + greedy
     best_key = (sum(costs[i] for i in best), len(best),
@@ -511,12 +528,14 @@ def test_exact_cover_matches_min_pivot_search(budget, cover_instances, monkeypat
     monkeypatch.setattr(tokens, "BRANCH_NODE_BUDGET", budget)
     uncertified = 0
     for k, primes, minterms in cover_instances:
-        got = exact_cover(k, primes, minterms)
+        table = PrimeTable.build(k, primes, minterms)
+        cover, certified = exact_cover(table)
+        got = [table.primes[i] for i in cover], certified
         assert got == min_pivot_exact_cover(k, primes, minterms)
-        uncertified += not got[1]
+        uncertified += not certified
     assert uncertified > 0
     if budget == tokens.BRANCH_NODE_BUDGET:
-        assert not exact_cover(*cover_instances[0])[1]
+        assert not exact_cover(PrimeTable.build(*cover_instances[0]))[1]
 
 
 @st.composite
@@ -627,6 +646,21 @@ def test_issue_order_matches_full_rescan(issued_covers):
         matched = [zone_matches(p, zone_values) for p in ts.patterns]
         overlaps += sum(len(m) for m in matched) > len(set().union(*matched))
     assert overlaps > 10 and ties > 10 and dummies > 10
+
+
+@pytest.mark.parametrize("k,patterns,zone_values", [
+    # 1 of 3 pairings against 3 of 9: the ratios tie across costs
+    (6, ("1*****", "0000**"), {0, 1, 2, 32}),
+    # after 00** the other two add nothing
+    (4, ("00**", "001*", "0000"), {0, 1, 2, 3}),
+])
+def test_issue_order_ties_by_text_on_hand_built_tables(k, patterns, zone_values):
+    """Tied ratios, and the patterns that add nothing, are issued in text
+    order, which here disagrees with the table's (cost, pattern) order."""
+    table = PrimeTable.build(k, map(pattern_implicant, patterns), zone_values)
+    assert table.patterns != sorted(table.patterns)
+    want, _ = rescan_issue_order(patterns, zone_values)
+    assert _issue_order(table, list(range(len(patterns)))) == want
 
 
 def test_issue_order_is_optimal_on_disjoint_covers(issued_covers):
