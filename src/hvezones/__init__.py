@@ -13,10 +13,9 @@ from .hve import (Ciphertext, HveToken, MessageSpace, PublicKey, QueryResult,
 from .optimizers import (OpCounter, gray_optimizer, hge_baseline, msgo,
                          random_baseline, sgo)
 from .tokens import TokenSet, minimize, pairing_cost, write_token_set
-from .dynamics import (ConvergenceError, StationaryDistribution,
-                       TransitionMatrix, UniformChain, build_q_independent,
-                       build_q_spatial, cell_marginals, damp, evolve,
-                       stationary_exact, stationary_monte_carlo)
+from .dynamics import (ConvergenceError, TransitionMatrix, UniformChain,
+                       build_q_independent, build_q_spatial, cell_marginals,
+                       damp, evolve, stationary_exact, stationary_monte_carlo)
 from .bench import (ExperimentConfig, SigmoidModel, TrialResult, add_noise,
                     gen_probabilities, run_depth_sweep, run_dynamics,
                     run_experiment, run_timing, sample_zone, write_csv)

@@ -14,20 +14,22 @@ centroid of the current zone, so nearby cells are likelier to join or
 leave.  Rows are normalized to keep the chain Markovian; damping mixes in
 a uniform jump, PageRank style, to force aperiodicity.  Both exact chains
 are built as arrays: one (2^n - 1) x n table of flip weights, normalized
-by row and scattered straight into CSR form.  They stay capped at n <= 20
-cells; the spatial chain takes about 0.2 s at n=16, 0.6 s with a 180 MB
-peak RSS at n=18, and 2.9 s with a 600 MB peak RSS at n=20 (2-vCPU VM,
-fresh process).  `scipy.sparse` is imported only when an exact chain is
-built, so importing the package loads numpy and no part of scipy.
+by row and written in cell order into CSR form, whose rows scipy then
+sorts.  They stay capped at n <= 20 cells; the spatial chain takes about
+0.25 s at n=16, 0.5 s with a 166 MB peak RSS at n=18, and 1.1-1.6 s with
+a 543 MB peak RSS at n=20 (2-vCPU VM, fresh process).  `scipy.sparse` is
+imported only when an exact chain is built, so importing the package
+loads numpy and no part of scipy.
 
-The stationary distribution comes from power iteration (which doubles as
-the marginal distribution of the chain after m steps) or from chained
-Monte Carlo walks: walk r+1 starts where walk r ended, so the sequence of
-walk end states is itself an ergodic chain with the same stationary
-vector, and end-state frequencies converge to it as the walk count grows.
-Restarting every walk at the empty state instead would estimate a
-geometrically weighted average of short-horizon distributions, which does
-not converge to the stationary vector no matter how many walks are run.
+The stationary distribution, a plain probability vector over the states,
+comes from power iteration (which doubles as the marginal distribution of
+the chain after m steps) or from chained Monte Carlo walks: walk r+1
+starts where walk r ended, so the sequence of walk end states is itself
+an ergodic chain with the same stationary vector, and end-state
+frequencies converge to it as the walk count grows.  Restarting every
+walk at the empty state instead would estimate a geometrically weighted
+average of short-horizon distributions, which does not converge to the
+stationary vector no matter how many walks are run.
 
 The lazily expanded `UniformChain` flips a uniformly random cell, so its
 cells are exchangeable and its evolved marginals are exact at any n: the
@@ -39,8 +41,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -52,6 +53,7 @@ if TYPE_CHECKING:
 EXACT_CELL_CAP = 20
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
+POWER_STEP_TOL = 1e-13
 DISTANCE_FLOOR = 1e-6
 
 
@@ -97,17 +99,6 @@ class TransitionMatrix:
         return dense
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
-    probs: np.ndarray
-    method: str                   # "power-iteration" | "monte-carlo"
-    samples: Optional[int] = None
-
-    def __post_init__(self):
-        if self.probs.min() < 0:
-            raise ValueError("negative state probability")
-
-
 def _check_cap(n: int) -> None:
     if n > EXACT_CELL_CAP:
         raise ValueError(f"exact model capped at {EXACT_CELL_CAP} cells, got {n}"
@@ -117,14 +108,9 @@ def _check_cap(n: int) -> None:
 def _flip_chain(n: int, weights: np.ndarray) -> TransitionMatrix:
     """Chain in which non-full state i flips cell j with weight
     weights[i, j], for a (2^n - 1) x n weight array; each row is normalized
-    by its sum, zero entries are dropped, columns are kept in ascending
-    order, and the full state wraps to the empty one.
-
-    Row i's columns i ^ 2^j ascend as the set bits from the top down, then
-    the unset bits from the bottom up, so cell j's rank in the row is the
-    number of set bits above j when bit j is set and popcount(i) + j -
-    popcount(i & (2^j - 1)) when it is not.  Entries are scattered to that
-    rank one cell at a time, with no sort and no full-size index array.
+    by its sum, zero entries are dropped, and the full state wraps to the
+    empty one.  Rows are written in cell order and scipy sorts each one's
+    columns in place.
     """
     from scipy import sparse
 
@@ -134,26 +120,19 @@ def _flip_chain(n: int, weights: np.ndarray) -> TransitionMatrix:
     dead = np.flatnonzero(totals <= 0.0)
     if dead.size:
         raise ValueError(f"state {dead[0]} has no outgoing weight")
-    states = np.arange(len(weights), dtype=np.int32)
-    ones = np.bitwise_count(states).astype(np.int32)
-    row_start = np.arange(0, weights.size, n)
     data = np.empty(weights.size + 1)           # the wrap row's entry last
     indices = np.empty(weights.size + 1, dtype=np.int32)
-    for j in range(n):
-        rank = np.where(states >> j & 1, np.bitwise_count(states >> (j + 1)),
-                        ones + j - np.bitwise_count(states & ((1 << j) - 1)))
-        at = row_start + rank
-        data[at] = weights[:, j] / totals
-        indices[at] = states ^ (1 << j)
+    np.divide(weights, totals[:, None], out=data[:-1].reshape(weights.shape))
+    np.bitwise_xor(np.arange(len(weights), dtype=np.int32)[:, None],
+                   1 << np.arange(n, dtype=np.int32),
+                   out=indices[:-1].reshape(weights.shape))
     data[-1], indices[-1] = 1.0, 0
-    keep = data > 0.0
-    row_nnz = np.append(keep[:-1].reshape(-1, n).sum(axis=1), 1)
-    if not keep.all():
-        data, indices = data[keep], indices[keep]
-    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    indptr = np.append(np.arange(0, weights.size + 1, n), weights.size + 1)
     size = 1 << n
-    return TransitionMatrix(n, sparse.csr_matrix((data, indices, indptr),
-                                                 shape=(size, size)))
+    base = sparse.csr_matrix((data, indices, indptr), shape=(size, size))
+    base.sort_indices()
+    base.eliminate_zeros()
+    return TransitionMatrix(n, base)
 
 
 def build_q_independent(grid: Grid) -> TransitionMatrix:
@@ -206,10 +185,9 @@ def damp(q: TransitionMatrix, alpha: float) -> TransitionMatrix:
     return TransitionMatrix(q.n, q.base, alpha=alpha)
 
 
-def stationary_exact(q: TransitionMatrix,
-                     tol: float = 1e-13,
-                     max_iter: int = 200_000) -> StationaryDistribution:
-    """Left eigenvector for eigenvalue 1 by power iteration from uniform.
+def stationary_exact(q: TransitionMatrix, max_iter: int = 200_000) -> np.ndarray:
+    """Left eigenvector for eigenvalue 1 by power iteration from uniform,
+    normalized to a probability vector over the states.
 
     Raises ConvergenceError when the iteration cap is hit with a residual
     above tolerance, which signals a periodic undamped chain.
@@ -219,14 +197,14 @@ def stationary_exact(q: TransitionMatrix,
         nxt = q.propagate(s)
         delta = np.abs(nxt - s).max()
         s = nxt
-        if delta < tol:
+        if delta < POWER_STEP_TOL:
             break
     s = s / s.sum()
     residual = np.abs(q.propagate(s) - s).max()
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(
             f"power iteration residual {residual:.2e}; damp the chain first")
-    return StationaryDistribution(probs=s, method="power-iteration")
+    return s
 
 
 def evolve(q: TransitionMatrix, start: np.ndarray, steps: int) -> np.ndarray:
@@ -240,7 +218,7 @@ def evolve(q: TransitionMatrix, start: np.ndarray, steps: int) -> np.ndarray:
 def stationary_monte_carlo(q: TransitionMatrix,
                            walks: int,
                            continue_prob: float,
-                           rng_seed: int) -> StationaryDistribution:
+                           rng_seed: int) -> np.ndarray:
     """Estimate the stationary vector from end states of chained walks.
 
     The first walk starts at the empty state; each subsequent walk starts
@@ -269,19 +247,25 @@ def stationary_monte_carlo(q: TransitionMatrix,
             idx = bisect.bisect_left(acc, rng.random())
             state = cols[min(idx, len(cols) - 1)]
         counts[state] += 1
-    return StationaryDistribution(probs=counts / walks, method="monte-carlo",
-                                  samples=walks)
+    return counts / walks
 
 
-def cell_marginals(s: StationaryDistribution) -> np.ndarray:
-    """Per-cell alert probability: total stationary mass of the states
-    containing the cell.  The cell count n comes from the distribution's
-    length, which must be 2^n."""
-    size = len(s.probs)
+def cell_marginals(probs: np.ndarray) -> np.ndarray:
+    """Per-cell alert probability: total mass of the states containing the
+    cell, for a probability vector over the states.  The cell count n comes
+    from the vector's length, which must be 2^n, and every entry must be
+    finite and non-negative."""
+    probs = np.asarray(probs, dtype=float)
+    size = len(probs)
     if size < 1 or size & (size - 1):
         raise ValueError(f"distribution length {size} is not a power of two")
+    bad = ~(np.isfinite(probs) & (probs >= 0.0))
+    if bad.any():
+        state = int(bad.argmax())
+        raise ValueError(f"state {state} probability {probs[state]} is negative"
+                         " or not finite")
     states = np.arange(size)
-    return np.array([s.probs[(states >> j) & 1 == 1].sum()
+    return np.array([probs[(states >> j) & 1 == 1].sum()
                      for j in range(size.bit_length() - 1)])
 
 

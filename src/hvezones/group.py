@@ -17,6 +17,9 @@ subgroup orthogonality) at the cost of being trivially breakable: anyone who
 reads the representation recovers discrete logs.  It is a *functional*
 backend for testing predicate-match semantics and operation counts, never a
 secure one.  A curve-based backend can replace it behind the same interface.
+
+Both factors must be distinct primes below PRIME_BOUND, the bound under
+which `is_prime`'s fixed Miller-Rabin bases decide primality exactly.
 """
 
 from __future__ import annotations
@@ -28,10 +31,16 @@ from typing import Sequence, Tuple
 Element = int  # CRT residue mod N; used for G and G_T alike
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12 = 399165290221 * 798330580441 (~3.2e23), the least strong
+# pseudoprime to every base above
+PRIME_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic for n < 3.3e24 with the fixed base set."""
+    """Miller-Rabin with the bases 2..37, deterministic for n < PRIME_BOUND;
+    raises ValueError at or above the bound rather than guess."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is not below the primality bound {PRIME_BOUND}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -68,7 +77,7 @@ def gen_prime(bits: int, rng: random.Random) -> int:
 
 
 class GroupError(ValueError):
-    """Invalid group parameters (non-prime or equal factors)."""
+    """Invalid group parameters (non-prime, too large or equal factors)."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,8 @@ class BilinearGroup:
     e_q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.p >= PRIME_BOUND or self.q >= PRIME_BOUND:
+            raise GroupError(f"P and Q must be below {PRIME_BOUND}")
         if not is_prime(self.p) or not is_prime(self.q):
             raise GroupError("P and Q must both be prime")
         if self.p == self.q:

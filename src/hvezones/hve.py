@@ -142,9 +142,6 @@ class MessageSpace:
     def lookup(self, element: Element) -> Optional[int]:
         return self._by_element.get(element)
 
-    def __len__(self) -> int:
-        return len(self._by_id)
-
 
 def setup(width: int, seed: int = 0) -> Tuple[PublicKey, SecretKey]:
     """Generate an HVE key pair of the given width.

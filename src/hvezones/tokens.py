@@ -316,8 +316,6 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
         held = [h & active for h in holders]
         for a in bit_positions(remaining):
             ha = held[a]
-            if not ha or not remaining >> a & 1:
-                continue
             near = 0
             for j in bit_positions(ha):
                 near |= cover_bits[j]

@@ -10,10 +10,10 @@ from scipy import sparse
 
 from hvezones.bench import predict_marginals
 from hvezones.dynamics import (DISTANCE_FLOOR, ConvergenceError,
-                               StationaryDistribution, TransitionMatrix,
-                               UniformChain, build_q_independent,
-                               build_q_spatial, cell_marginals, damp, evolve,
-                               stationary_exact, stationary_monte_carlo)
+                               TransitionMatrix, UniformChain,
+                               build_q_independent, build_q_spatial,
+                               cell_marginals, damp, evolve, stationary_exact,
+                               stationary_monte_carlo)
 from hvezones.grid import Grid
 
 Q2_EXPECTED = np.array([
@@ -251,23 +251,22 @@ def test_damp_n1_formula():
 
 def test_stationary_q2():
     s = stationary_exact(build_q_independent(two_cell_grid()))
-    assert s.method == "power-iteration"
-    assert np.abs(s.probs - S_Q2).max() < 5e-4
-    assert abs(s.probs.sum() - 1.0) < 1e-9
+    assert np.abs(s - S_Q2).max() < 5e-4
+    assert abs(s.sum() - 1.0) < 1e-9
 
 
 def test_stationary_o2_and_power_convergence():
     o = damp(build_q_independent(two_cell_grid()), 0.85)
     s = stationary_exact(o)
-    assert np.abs(s.probs - S_O2).max() < 5e-4
+    assert np.abs(s - S_O2).max() < 5e-4
     after50 = evolve(o, np.full(4, 0.25), 50)
-    assert np.abs(after50 - s.probs).max() < 1e-4
+    assert np.abs(after50 - s).max() < 1e-4
 
 
 def test_stationary_residual_is_tight():
     q = build_q_independent(two_cell_grid())
     s = stationary_exact(q)
-    assert np.abs(s.probs @ q.to_dense() - s.probs).max() <= 1e-9
+    assert np.abs(s @ q.to_dense() - s).max() <= 1e-9
 
 
 def test_periodic_chain_raises_and_damping_rescues():
@@ -282,7 +281,7 @@ def test_periodic_chain_raises_and_damping_rescues():
     with pytest.raises(ConvergenceError):
         stationary_exact(q, max_iter=2000)
     s = stationary_exact(damp(q, 0.85))
-    assert abs(s.probs.sum() - 1.0) < 1e-9
+    assert abs(s.sum() - 1.0) < 1e-9
 
 
 def test_uniqueness_from_random_starts():
@@ -290,7 +289,7 @@ def test_uniqueness_from_random_starts():
     for n in (2, 4, 6, 8):
         grid = Grid.regular(n, [rng.uniform(0.05, 1.0) for _ in range(n)])
         o = damp(build_q_independent(grid), 0.85)
-        reference = stationary_exact(o).probs
+        reference = stationary_exact(o)
         size = 1 << n
         for _ in range(10):
             start = np.array([rng.random() for _ in range(size)])
@@ -301,26 +300,24 @@ def test_uniqueness_from_random_starts():
 
 def test_monte_carlo_agreement_with_exact():
     o = damp(build_q_independent(two_cell_grid()), 0.85)
-    exact = stationary_exact(o).probs
+    exact = stationary_exact(o)
     estimate = stationary_monte_carlo(o, walks=200_000, continue_prob=0.6,
                                       rng_seed=7)
-    assert estimate.method == "monte-carlo"
-    assert estimate.samples == 200_000
-    assert np.abs(estimate.probs - exact).max() < 0.01
+    assert np.abs(estimate - exact).max() < 0.01
 
 
 def test_monte_carlo_single_walk_one_hot():
     o = damp(build_q_independent(two_cell_grid()), 0.85)
     s = stationary_monte_carlo(o, walks=1, continue_prob=0.6, rng_seed=1)
-    assert sorted(s.probs) == [0.0, 0.0, 0.0, 1.0]
+    assert sorted(s) == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_monte_carlo_seed_agreement():
     grid = Grid.regular(4, [0.3, 0.9, 0.5, 0.2])
     o = damp(build_q_independent(grid), 0.85)
     r = 150_000
-    a = stationary_monte_carlo(o, walks=r, continue_prob=0.6, rng_seed=1).probs
-    b = stationary_monte_carlo(o, walks=r, continue_prob=0.6, rng_seed=2).probs
+    a = stationary_monte_carlo(o, walks=r, continue_prob=0.6, rng_seed=1)
+    b = stationary_monte_carlo(o, walks=r, continue_prob=0.6, rng_seed=2)
     bound = 3.0 * np.sqrt(np.maximum(a * (1 - a), 1e-6) / r) * 2
     assert (np.abs(a - b) < np.maximum(bound, 0.01)).all()
 
@@ -329,9 +326,9 @@ def test_monte_carlo_consistency_n4():
     rng = random.Random(5)
     grid = Grid.regular(4, [rng.uniform(0.1, 1.0) for _ in range(4)])
     o = damp(build_q_independent(grid), 0.85)
-    exact = stationary_exact(o).probs
+    exact = stationary_exact(o)
     estimate = stationary_monte_carlo(o, walks=100_000, continue_prob=0.6,
-                                      rng_seed=3).probs
+                                      rng_seed=3)
     assert np.abs(estimate - exact).max() < 0.02
 
 
@@ -352,19 +349,27 @@ def test_cell_marginals_worked_example():
 
 def test_cell_marginals_uniform_and_one_hot():
     uniform = np.full(8, 1 / 8)
-    m = cell_marginals(StationaryDistribution(uniform, "power-iteration"))
+    m = cell_marginals(uniform)
     assert np.allclose(m, 0.5) and len(m) == 3
     one_hot = np.zeros(8)
     one_hot[0b101] = 1.0
-    m = cell_marginals(StationaryDistribution(one_hot, "power-iteration"))
+    m = cell_marginals(one_hot)
     assert m.tolist() == [1.0, 0.0, 1.0]
-    assert cell_marginals(StationaryDistribution(np.ones(1), "power-iteration")).size == 0
+    assert cell_marginals(np.ones(1)).size == 0
 
 
 @pytest.mark.parametrize("size", [3, 6, 12])
 def test_cell_marginals_rejects_length_not_a_power_of_two(size):
     with pytest.raises(ValueError, match=f"length {size} is not a power of two"):
-        cell_marginals(StationaryDistribution(np.full(size, 1 / size), "power-iteration"))
+        cell_marginals(np.full(size, 1 / size))
+
+
+@pytest.mark.parametrize("bad", [-0.25, math.nan, math.inf, -math.inf])
+def test_cell_marginals_rejects_negative_and_non_finite_entries(bad):
+    probs = np.full(8, 1 / 8)
+    probs[5] = bad
+    with pytest.raises(ValueError, match="^state 5 probability .* negative or not finite$"):
+        cell_marginals(probs)
 
 
 def test_spatial_weights_worked_row():

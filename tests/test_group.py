@@ -7,7 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hvezones.group import BilinearGroup, GroupError, gen_prime, is_prime
+from hvezones.group import (PRIME_BOUND, BilinearGroup, GroupError, gen_prime,
+                            is_prime)
+
+# the least strong pseudoprimes to the bases 2..37 and to 2..41
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
 
 
 def test_prime_generation_is_deterministic():
@@ -35,6 +40,17 @@ def test_group_rejects_bad_parameters():
         BilinearGroup(7, 7)         # equal primes
     with pytest.raises(GroupError):
         BilinearGroup(7, 9)
+
+
+@pytest.mark.parametrize("factor", [PSI_12, PSI_13])
+def test_group_refuses_factors_past_the_primality_bound(factor):
+    assert PSI_12 == PRIME_BOUND == 318665857834031151167461
+    for p, q in ((factor, 4294967291), (4294967291, factor)):
+        with pytest.raises(GroupError, match=f"^P and Q must be below {PSI_12}$"):
+            BilinearGroup(p, q)
+    with pytest.raises(ValueError, match="^[0-9]+ is not below the primality bound"):
+        is_prime(factor)
+    assert is_prime(PSI_12 - 2) is False    # the largest odd number still decided
 
 
 def test_generate_distinct_primes():

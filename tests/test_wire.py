@@ -97,6 +97,18 @@ def join_fields(header, fields):
     return header + b"".join(len(f).to_bytes(4, "big") + f for f in fields)
 
 
+@pytest.mark.parametrize("factor", [399165290221 * 798330580441,     # psi_12
+                                    3317044064679887385961981])     # psi_13
+def test_public_key_with_a_pseudoprime_factor_rejected(factor):
+    """A factor at or past the primality bound is refused before any
+    Miller-Rabin round, so a strong pseudoprime cannot pass as prime."""
+    _, blob = blobs_of_each_kind()["public_key"]
+    header, fields = split_fields(blob)
+    fields[0] = factor.to_bytes((factor.bit_length() + 7) // 8, "big")
+    with pytest.raises(wire.WireError, match="^P and Q must be below [0-9]+$"):
+        wire.load_public_key(join_fields(header, fields))
+
+
 # the field index at which each blob declares its width or position count
 @pytest.mark.parametrize("kind,count_at", [("public_key", 2), ("ciphertext", 0),
                                            ("token", 2)])
