@@ -23,7 +23,6 @@ ascending cell id.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import time
@@ -45,7 +44,13 @@ CSV_HEADER = ("algorithm,n,depth,a,b,fraction,noise,trial,"
 
 
 def child_seed(master: int, *parts) -> int:
-    """Stable per-purpose seed derivation from the master seed."""
+    """Stable per-purpose seed derivation from the master seed.
+
+    `hashlib` is imported here, not at module level: it loads OpenSSL
+    (about 3.5 MB of resident memory), and no alert round derives a seed.
+    """
+    import hashlib
+
     h = hashlib.blake2b(digest_size=8)
     h.update(str(master).encode())
     for part in parts:

@@ -1,5 +1,6 @@
 """What a fresh process loads: an alert round imports no part of
-`scipy.sparse`, which only the exact 2^n Markov chains use."""
+`scipy.sparse`, which only the exact 2^n Markov chains use, and not
+OpenSSL's `_hashlib`, which only `bench.child_seed` uses."""
 
 import os
 import pathlib
@@ -36,6 +37,10 @@ ROUND = textwrap.dedent("""
                       for tk in tks)
             assert hit == (cell in zone), cell
     assert "scipy.sparse" not in sys.modules, "an alert round loaded scipy.sparse"
+    assert "_hashlib" not in sys.modules, "an alert round loaded _hashlib"
+
+    from hvezones import bench
+    assert bench.child_seed(42, "x") == 15081859149362269983
 
     from hvezones.dynamics import build_q_independent
     q = build_q_independent(Grid.regular(4))
@@ -46,7 +51,8 @@ ROUND = textwrap.dedent("""
 
 def test_alert_round_leaves_scipy_sparse_unloaded():
     """Runs in a new interpreter, since this test session has already
-    imported `scipy.sparse`; the exact chain still builds afterwards."""
+    imported `scipy.sparse`; seeds still derive and the exact chain still
+    builds afterwards."""
     src = pathlib.Path(hvezones.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))
