@@ -7,16 +7,36 @@ cover of {0,1,*} patterns whose cost is the total non-star bit count, the
 quantity that drives pairing work at query time (2 per non-star plus 1).
 
 A cover that may use at most 4096 codewords (minterms plus don't-cares),
-at any width k, is minimized exactly: Quine-McCluskey prime implicants
-followed by a minimum-cost cover search with essential and dominance
-reductions and branch-and-bound on the minterm with the fewest holders (a
-deterministic node budget keeps degenerate dense cores from stalling;
-exhausting it falls back to the greedy incumbent and clears the `exact`
-flag).  Above 4096 allowed codewords a deterministic greedy set cover over
-prime cubes grown from each minterm is used instead; those covers are
-flagged approximate as well.  The greedy pick is lazy (a heap of possibly
-stale gains, rechecked when popped) and chooses exactly what a full rescan
-per pick would.
+at any width k, is minimized exactly: prime implicants, then a
+minimum-cost cover search with essential and dominance reductions and
+branch-and-bound on the minterm with the fewest holders (a deterministic
+node budget keeps degenerate dense cores from stalling; exhausting it falls
+back to the greedy incumbent and clears the `exact` flag).  Above 4096
+allowed codewords a deterministic greedy set cover over prime cubes grown
+from each minterm is used instead; those covers are flagged approximate as
+well.  The greedy pick is lazy (a heap of possibly stale gains, rechecked
+when popped) and chooses exactly what a full rescan per pick would.
+
+Two generators give the same prime implicants; `is_dense` picks one from
+the input, 2^k against the number of allowed codewords:
+- a dense function (2^k at most DENSE_RATIO times the allowed count) is
+  worked on as its truth table, one int per star mask with bit v set when
+  the cube (mask, v) lies inside the allowed codewords.  Each mask comes
+  from its parent by one shift-and-AND, and the primes are the cubes that
+  no cube one star larger contains, so every step handles all 2^k
+  codewords at once;
+- a sparse wide function, such as a 1% zone at k = 16, takes set-based
+  Quine-McCluskey, whose work follows the implicants rather than 2^k.
+  There every truth-table step would walk 2^k bits to find a few set ones.
+
+Both dominance reductions drop exactly the rows or columns that another
+dominates under a strict partial order: a prime goes when a live prime no
+costlier covers all it covers (of equal columns the lower index stays), a
+minterm goes when every live holder of another minterm holds it (of equal
+rows the lower position stays).  The orders are transitive, so whatever a
+dropped element dominates, so does an undominated element dominating it,
+and that one is never dropped.  Each pass therefore keeps exactly the
+undominated set, however early or late each dominated element goes.
 
 The server stops at a user's first matching token, so the cover's
 patterns are issued match-first: next the pattern matching the most zone
@@ -50,6 +70,8 @@ from .grid import GridEncoding
 
 EXACT_SPACE_LIMIT = 4096
 BRANCH_NODE_BUDGET = 20_000
+DENSE_RATIO = 16            # 2^k / allowed codewords up to which `is_dense` holds
+_NO_PICK = float("inf")     # entry cost that ends a branch node
 
 Implicant = Tuple[int, int]  # (star mask, value with star bits zeroed)
 
@@ -104,10 +126,55 @@ def pairing_cost(ts: TokenSet) -> int:
 
 # --- prime implicant generation (exact path) ---
 
+def is_dense(k: int, count: int) -> bool:
+    """Whether `count` codewords fill enough of the 2^k space for its truth
+    table to be worked on as one bitset."""
+    return 1 << k <= DENSE_RATIO * count
+
+
 def prime_implicants(k: int, minterms: Set[int], dontcares: Set[int]) -> List[Implicant]:
     """All prime implicants of the (minterms | dontcares) function, those
     covering only don't-cares included: no cover search ever picks one."""
-    current: Set[Implicant] = {(0, m) for m in minterms | dontcares}
+    allowed = minterms | dontcares
+    if is_dense(k, len(allowed)):
+        return _truth_table_primes(k, allowed)
+    return _qm_primes(k, allowed)
+
+
+def _truth_table_primes(k: int, allowed: Set[int]) -> List[Implicant]:
+    """Prime implicants bit-parallel over the truth table: bit v of
+    `cubes[mask]` is set when the cube (mask, v) lies inside `allowed`
+    (only at v with v & mask == 0), each mask built from its parent without
+    its top bit by one shift-and-AND; a cube is prime when no cube one star
+    larger contains it."""
+    space = 1 << k
+    table = bytearray(max(space // 8, 1))
+    for v in allowed:
+        table[v >> 3] |= 1 << (v & 7)
+    ones = (1 << space) - 1
+    # codewords with bit b clear: s ones then s zeros, s = 2^b, repeated
+    clear = [ones // ((1 << (1 << b)) + 1) for b in range(k)]
+    cubes = {0: int.from_bytes(table, "little")}
+    queue = [0]
+    for mask in queue:
+        inside = cubes[mask]
+        for b in range(mask.bit_length(), k):
+            grown = inside & inside >> (1 << b) & clear[b]
+            if grown:
+                cubes[mask | 1 << b] = grown
+                queue.append(mask | 1 << b)
+    covered = dict.fromkeys(cubes, 0)
+    for mask, inside in cubes.items():
+        for b in bit_positions(mask):
+            covered[mask ^ 1 << b] |= inside | inside << (1 << b)
+    return [(mask, v) for mask, inside in cubes.items()
+            for v in bit_positions(inside & ~covered[mask])]
+
+
+def _qm_primes(k: int, allowed: Set[int]) -> List[Implicant]:
+    """Set-based Quine-McCluskey: merge implicant pairs one star at a time;
+    the ones never merged are prime."""
+    current: Set[Implicant] = {(0, m) for m in allowed}
     primes: Set[Implicant] = set()
     while current:
         merged: Set[Implicant] = set()
@@ -251,6 +318,32 @@ def _holder_masks(active: int, cover_bits: List[int], remaining: int) -> List[in
     return holders
 
 
+def _minimal_rows(remaining: int, holders: List[int], active: int,
+                  cover_bits: List[int]) -> int:
+    """Minterm dominance: the minterms of `remaining` whose live holder set
+    contains no other's, and of equal sets the lowest position.
+
+    Covering b forces covering a when every live holder of b holds a, so a
+    can go; for one witness b, the AND of its holders' columns is every
+    such a at once.  Witnesses go in ascending position, a dropped one
+    skipped, so of equal rows the lowest comes first and drops the rest.
+    Skipping loses nothing: dominance is transitive, so whatever b would
+    drop, a minimal row dominating b drops too, and no witness drops a
+    minimal row.
+    A minterm without a live holder is neither a witness nor dropped.
+    """
+    kept = remaining
+    for b in bit_positions(remaining):
+        hb = holders[b] & active
+        if not hb or not kept >> b & 1:
+            continue
+        over = kept & ~(1 << b)
+        for j in bit_positions(hb):
+            over &= cover_bits[j]
+        kept &= ~over
+    return kept
+
+
 def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
     """Minimum-cost cover of the minterms by the table's primes, as indices
     in text order.
@@ -265,17 +358,18 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
     active = (1 << len(costs)) - 1      # bit i set while prime i is live
 
     # reductions to a cyclic core; primes are indexed in (cost, pattern)
-    # order, so a lower index is never costlier
+    # order, so a lower index is never costlier.  The holder masks only lose
+    # primes and minterms as the reductions go, so they are built once and
+    # read through the live primes.
+    holders = _holder_masks(active, cover_bits, remaining)
     changed = True
     while changed and remaining:
         changed = False
-        holders = _holder_masks(active, cover_bits, remaining)
-        # essential implicants: a minterm with a single holder; a chosen
-        # prime covers none of the minterms left, so the masks stay valid
+        # essential implicants: a minterm with a single holder
         for pos in bit_positions(remaining):
             if not remaining >> pos & 1:
                 continue
-            h = holders[pos]
+            h = holders[pos] & active
             if not h:
                 raise ValueError("cover is infeasible")
             if not h & (h - 1):
@@ -310,21 +404,9 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
             if dominated:
                 active &= ~(1 << i)
                 changed = True
-        # minterm dominance: covering b forces covering a when b's holder
-        # set is contained in a's; every such b is covered by one of a's
-        # holders, so only their minterms are candidates
-        held = [h & active for h in holders]
-        for a in bit_positions(remaining):
-            ha = held[a]
-            near = 0
-            for j in bit_positions(ha):
-                near |= cover_bits[j]
-            for b in bit_positions(near & remaining & ~(1 << a)):
-                hb = held[b]
-                if hb and not hb & ~ha and (hb != ha or b < a):
-                    remaining &= ~(1 << a)
-                    changed = True
-                    break
+        kept = _minimal_rows(remaining, holders, active, cover_bits)
+        if kept != remaining:
+            remaining, changed = kept, True
 
     if not remaining:
         return sorted(set(chosen), key=text_rank.__getitem__), True
@@ -343,50 +425,70 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
     # renumbered in key order once: rank r is the r-th pivot choice, each
     # prime's coverage becomes a mask over ranks, and the pivot of a
     # residue is its lowest set bit.  Holders are tried in index order.
-    holders = _holder_masks(active, cover_bits, remaining)
-    order = sorted(bit_positions(remaining),
-                   key=lambda pos: (holders[pos].bit_count(), pos))
-    holders_at = [bit_positions(holders[pos]) for pos in order]
+    live = {pos: holders[pos] & active for pos in bit_positions(remaining)}
+    order = sorted(live, key=lambda pos: (live[pos].bit_count(), pos))
+    holders_at = [bit_positions(live[pos]) for pos in order]
     ranked = [0] * len(costs)
     for r, held in enumerate(holders_at):
         for i in held:
             ranked[i] |= 1 << r
+    # per rank its holders as (cost, ranks a pick leaves open, index), then
+    # a sentinel no slack admits; index order is cost order, so the first
+    # holder over the slack ends the node
+    entries = [[(costs[i], ~ranked[i], i) for i in held] + [(_NO_PICK, 0, -1)]
+               for held in holders_at]
 
-    # Depth-first: the open node lives in locals, its ancestors on a stack
-    # with their untried holders and the pick being explored.  Holders are
-    # bounded when reached and every node entry counts against the budget;
-    # the root always branches (the greedy incumbent costs over base_cost).
-    nodes = 1
+    best, certified = _branch_and_bound(entries, chosen, base_cost, best, best_key, text_rank)
+    return sorted(set(best), key=text_rank.__getitem__), certified
+
+
+def _branch_and_bound(entries: List[list], chosen: List[int], base_cost: int,
+                      best: List[int], best_key: tuple,
+                      text_rank: List[int]) -> Tuple[List[int], bool]:
+    """Depth-first search of the core for a cover better than `best`, whose
+    (cost, size, sorted text ranks) is `best_key`; `entries[r]` are the
+    holders of the r-th pivot choice.  Returns the best picks and whether
+    the search finished within the node budget.
+
+    The open node lives in locals (its residue of ranks, cost and slack
+    under the bound), its ancestors on a stack with their untried holders
+    and the pick being explored.  Holders are bounded when reached and
+    every node entry counts against the budget; the root always branches
+    (the greedy incumbent costs over base_cost).  A child whose pivot has
+    no holder within the slack left would visit nothing, so it is not
+    pushed.
+    """
+    budget, nodes = BRANCH_NODE_BUDGET, 1
     bound = best_key[0]
-    left, cost, untried = (1 << len(order)) - 1, base_cost, iter(holders_at[0])
+    left, cost, slack = (1 << len(entries)) - 1, base_cost, bound - base_cost
+    untried = iter(entries[0])
     stack = []
     while True:
-        for i in untried:
-            if cost + costs[i] <= bound:
+        for c, keep, i in untried:
+            if c > slack:
+                if not stack:
+                    return best, True
+                left, cost, untried, _ = stack.pop()
+                slack = bound - cost
                 break
-        else:
-            if not stack:
-                break
-            left, cost, untried, _ = stack.pop()
-            continue
-        nodes += 1
-        if nodes > BRANCH_NODE_BUDGET:
-            break
-        sub, sub_cost = left & ~ranked[i], cost + costs[i]
-        if sub == 0:
-            # the rank tuple is built only for a leaf that can win
-            size = len(chosen) + len(stack) + 1
-            if (sub_cost, size) <= best_key[:2]:
-                picked = chosen + [frame[3] for frame in stack] + [i]
-                key = (sub_cost, size, tuple(sorted(text_rank[j] for j in picked)))
-                if key < best_key:
-                    best_key, best, bound = key, picked, sub_cost
-        elif sub_cost + 1 <= bound:
-            stack.append((left, cost, untried, i))
-            left, cost = sub, sub_cost
-            untried = iter(holders_at[(left & -left).bit_length() - 1])
-
-    return sorted(set(best), key=text_rank.__getitem__), nodes <= BRANCH_NODE_BUDGET
+            nodes += 1
+            if nodes > budget:
+                return best, False
+            sub = left & keep
+            if not sub:
+                # the rank tuple is built only for a leaf that can win
+                size = len(chosen) + len(stack) + 1
+                if c < slack or size <= best_key[1]:
+                    picked = chosen + [frame[3] for frame in stack] + [i]
+                    key = (cost + c, size, tuple(sorted(text_rank[j] for j in picked)))
+                    if key < best_key:
+                        best_key, best, bound, slack = key, picked, cost + c, c
+            elif c < slack:
+                held = entries[(sub & -sub).bit_length() - 1]
+                if held[0][0] <= slack - c:
+                    stack.append((left, cost, untried, i))
+                    left, cost, slack, untried = sub, cost + c, slack - c, iter(held)
+                    break
 
 
 # --- greedy path for more than EXACT_SPACE_LIMIT allowed codewords ---

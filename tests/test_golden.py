@@ -14,6 +14,7 @@ to say why the new output is more correct.
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -92,6 +93,18 @@ GREEDY_CASES = [
     ("HGE", 5000, 7, 0.05, True), ("HGE", 5000, 7, 0.15, True),
     ("HGE", 9000, 7, 0.05, True), ("SGO", 9000, 7, 0.15, True),
     ("SGO", 9000, 8, 0.02, True),
+]
+
+# the exact-path cases whose 2^k space the allowed codewords fill densely
+# enough (`tokens.is_dense`) for the truth-table prime generator; the other
+# two exact-path cases (k = 13 and 14, 250 codewords) take set-based QM
+DENSE_CASES = [
+    ("SGO", 100, 5, 0.3, True), ("SGO", 100, 5, 0.3, False),
+    ("HGE", 100, 5, 0.3, True), ("HGE", 100, 5, 0.3, False),
+    ("MSGO", 256, 6, 0.1, False), ("HGE", 256, 6, 0.1, False),
+    ("MSGO", 256, 6, 0.6, False), ("HGE", 256, 6, 0.6, False),
+    ("SGO", 5000, 7, 0.05, True),
+    ("SGO", 5000, 7, 0.3, False), ("HGE", 5000, 7, 0.3, False),
 ]
 
 # (encoder, n, seed, zone fraction, dummy cover)
@@ -200,25 +213,38 @@ def test_shallow_pass_digest(run):
     assert digest(out) == SHALLOW_DIGESTS[run]
 
 
+def counting(calls: Counter, name: str, fn):
+    """`fn`, tallying its calls in `calls[name]`."""
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
+def test_each_prime_generator_serves_a_golden_case():
+    """Both prime generators produce pinned covers: some exact-path cases
+    take the truth table, some set-based QM."""
+    exact = [case for case in MINIMIZE_CASES if case not in GREEDY_CASES]
+    assert set(DENSE_CASES) < set(exact) and DENSE_CASES
+
+
 @pytest.mark.parametrize("algorithm,n,seed,fraction,dummy", MINIMIZE_CASES)
 def test_minimize_digest(algorithm, n, seed, fraction, dummy, monkeypatch):
     grid = grid_for(n, seed)
     enc = ENCODERS[algorithm](grid)
     zone = bench.sample_zone(grid.probabilities(), fraction,
                              random.Random(f"golden/zone/{n}/{seed}"))
-    greedy_calls = []
-    greedy_cover = tokens.greedy_cover
-
-    def counted_greedy_cover(*args):
-        greedy_calls.append(args)
-        return greedy_cover(*args)
-
-    monkeypatch.setattr(tokens, "greedy_cover", counted_greedy_cover)
+    calls = Counter()
+    for name in ("greedy_cover", "_truth_table_primes", "_qm_primes"):
+        monkeypatch.setattr(tokens, name, counting(calls, name, getattr(tokens, name)))
     ts = minimize(zone, enc, allow_dummy_cover=dummy)
     key = f"{algorithm}/{n}/{seed}/{fraction}/{dummy}"
+    case = (algorithm, n, seed, fraction, dummy)
     allowed = len(zone) + (len(enc.dummies()) if dummy else 0)
-    assert (bool(greedy_calls) == (allowed > EXACT_SPACE_LIMIT)
-            == ((algorithm, n, seed, fraction, dummy) in GREEDY_CASES))
+    assert (bool(calls["greedy_cover"]) == (allowed > EXACT_SPACE_LIMIT)
+            == (case in GREEDY_CASES))
+    assert bool(calls["_truth_table_primes"]) == (case in DENSE_CASES)
+    assert bool(calls["_qm_primes"]) == (case not in DENSE_CASES + GREEDY_CASES)
     assert digest((tuple(sorted(ts.patterns)), ts.cost, ts.exact)) == MINIMIZE_DIGESTS[key]
     assert digest(ts.patterns) == ISSUE_ORDER_DIGESTS[key]
 

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvezones import bench, tokens
@@ -16,11 +16,13 @@ from hvezones.gray import bit_positions
 from hvezones.grid import Grid, GridEncoding
 from hvezones.optimizers import gray_optimizer, hge_baseline, msgo
 from hvezones.tokens import (PrimeTable, _cover_bits, _greedy_pick,
-                             _grow_prime_cube, _issue_order, _prune_redundant,
-                             exact_cover, expand_implicant, greedy_cover,
-                             implicant_cost, implicant_pattern, match_pairings,
-                             minimize, pairing_cost, pattern_implicant,
-                             prime_implicants, write_token_set)
+                             _grow_prime_cube, _holder_masks, _issue_order,
+                             _minimal_rows, _prune_redundant, _qm_primes,
+                             _truth_table_primes, exact_cover, expand_implicant,
+                             greedy_cover, implicant_cost, implicant_pattern,
+                             is_dense, match_pairings, minimize, pairing_cost,
+                             pattern_implicant, prime_implicants,
+                             write_token_set)
 
 
 def identity_encoding(n, k):
@@ -106,6 +108,30 @@ def test_exact_cover_full_space_is_the_all_star_cube(k):
         primes = prime_implicants(k, minterms, dontcares)
         assert primes == [(full, 0)]
         assert exact_cover(PrimeTable.build(k, primes, minterms)) == ([0], True)
+
+
+@st.composite
+def truth_tables(draw):
+    """k <= 10, then each codeword drawn as a minterm, a don't-care or off."""
+    k = draw(st.integers(0, 10))
+    return k, draw(st.lists(st.sampled_from("mdo"), min_size=1 << k, max_size=1 << k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(truth_tables())
+@example((6, ["m"] * 64))                     # the full space
+@example((10, ["o"] * 700 + ["m"] + ["o"] * 323))  # a single minterm
+@example((9, ["d"] * 511 + ["m"]))            # one minterm, the rest don't-cares
+def test_truth_table_primes_match_set_based_qm(problem):
+    """The bit-parallel generator returns exactly the set-based
+    Quine-McCluskey primes, and `prime_implicants` returns them too, from
+    whichever generator `is_dense` picks."""
+    k, roles = problem
+    minterms = {v for v, r in enumerate(roles) if r == "m"}
+    dontcares = {v for v, r in enumerate(roles) if r == "d"}
+    want = sorted(_qm_primes(k, minterms | dontcares))
+    assert sorted(_truth_table_primes(k, minterms | dontcares)) == want
+    assert sorted(prime_implicants(k, minterms, dontcares)) == want
 
 
 def test_errors():
@@ -488,8 +514,11 @@ def min_pivot_exact_cover(k, primes, minterms):
 def cover_instances():
     """(k, primes, minterms) on the exact path: the golden HGE/256/6/0.6
     cover, which exhausts the default budget; zones at 30% and 60% under
-    HGE and MSGO at n=256, with and without don't-cares; random encodings
-    at k <= 8."""
+    HGE and MSGO at n=256, with and without don't-cares; two dense k = 10
+    zones at 60% without don't-cares, under HGE (no complete cover within
+    any budget here, so it pins the reductions and the incumbent) and MSGO
+    (better covers within 500 and again within 5000 nodes, certified by
+    5000); random encodings at k <= 8."""
     model = bench.SigmoidModel(a=0.75, b=10.0)
     grid = Grid.regular(256, bench.gen_probabilities(
         256, model, random.Random("golden/256/6/sigmoid")))
@@ -508,8 +537,16 @@ def cover_instances():
                     dontcares = set(enc.dummies()) if dummy else set()
                     out.append((enc.k, prime_implicants(enc.k, minterms, dontcares),
                                 minterms))
+    for seed, encoder in (("oracle/dense/hge", hge_baseline),
+                          ("oracle/dense/msgo/4", lambda g: msgo(g, depth=4))):
+        rng = random.Random(seed)
+        grid = Grid.regular(1024, bench.gen_probabilities(1024, model, rng))
+        enc = encoder(grid)
+        minterms = {enc.value(c) for c in bench.sample_zone(grid.probabilities(), 0.6, rng)}
+        assert enc.k == 10 and is_dense(enc.k, len(minterms))
+        out.append((enc.k, prime_implicants(enc.k, minterms, set()), minterms))
     rng = random.Random(29)
-    while len(out) < 300:
+    while len(out) < 302:
         k = rng.randrange(2, 9)
         n = rng.randrange(2, (1 << k) + 1)
         forward = rng.sample(range(1 << k), n)
@@ -536,6 +573,68 @@ def test_exact_cover_matches_min_pivot_search(budget, cover_instances, monkeypat
     assert uncertified > 0
     if budget == tokens.BRANCH_NODE_BUDGET:
         assert not exact_cover(PrimeTable.build(*cover_instances[0]))[1]
+
+
+def minimal_rows_after(columns, active=None):
+    """`_minimal_rows` on a hand-built table: bit j of `columns[i]` is
+    minterm j held by prime i; every prime is live unless `active` says
+    otherwise."""
+    remaining = 0
+    for bits in columns:
+        remaining |= bits
+    holders = _holder_masks((1 << len(columns)) - 1, columns, remaining)
+    if active is None:
+        active = (1 << len(columns)) - 1
+    return _minimal_rows(remaining, holders, active, columns)
+
+
+def test_minimal_rows_keeps_the_lowest_of_equal_rows():
+    """Minterms 1 and 3 have the same holders {0, 1}: only 1 stays.  The
+    holders of minterm 0 ({1, 2}) and of minterm 2 ({3}) neither hold nor
+    sit inside another minterm's."""
+    columns = [0b1010, 0b1011, 0b0001, 0b0100]
+    assert minimal_rows_after(columns) == 0b0111
+
+
+def test_minimal_rows_keeps_the_bottom_of_a_chain():
+    """Holders {0} of minterm 2, {0, 1} of minterm 1 and {0, 1, 2} of
+    minterm 0 nest, so whatever covers minterm 2 covers the other two: only
+    it stays, though it is the last witness visited."""
+    columns = [0b111, 0b011, 0b001]
+    assert minimal_rows_after(columns) == 0b100
+
+
+def test_minimal_rows_drops_nothing_without_shared_holders():
+    """Holders {0}, {1}, {2, 3} and {4}: no two minterms share one."""
+    columns = [0b0001, 0b0010, 0b0100, 0b0100, 0b1000]
+    assert minimal_rows_after(columns) == 0b1111
+
+
+def reference_minimal_rows(columns, active):
+    """Minterms no other minterm dominates: b dominates a when b's live
+    holders are a non-empty subset of a's, a strict one or b < a."""
+    remaining = 0
+    for bits in columns:
+        remaining |= bits
+    held = {pos: {i for i in bit_positions(active) if columns[i] >> pos & 1}
+            for pos in bit_positions(remaining)}
+    kept = 0
+    for a, ha in held.items():
+        if not any(hb and hb <= ha and (hb != ha or b < a)
+                   for b, hb in held.items() if b != a):
+            kept |= 1 << a
+    return kept
+
+
+def test_minimal_rows_matches_definition():
+    """Random tables with repeated rows, nested rows and dead primes."""
+    rng = random.Random(37)
+    for _ in range(400):
+        width = rng.randrange(1, 16)
+        columns = [rng.getrandbits(width) & rng.getrandbits(width)
+                   for _ in range(rng.randrange(1, 12))]
+        active = rng.getrandbits(len(columns))
+        assert minimal_rows_after(columns, active) == reference_minimal_rows(columns, active)
 
 
 @st.composite
