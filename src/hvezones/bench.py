@@ -374,7 +374,7 @@ def run_depth_sweep(cfg: ExperimentConfig) -> Tuple[List[TrialResult], List[str]
         rows = []
         for depth in range(1, grid.k + 1):
             state = Assignment(grid)
-            state.assign(state.take_top_cells(1)[0], 0)
+            state.claim(0)
             state.go_pass(0, depth)
             state.complete_random(stream(cfg.seed, "fill", trial, depth))
             enc = state.to_encoding("GO")

@@ -1,27 +1,31 @@
 """Probability-aware grid encoders and baselines.
 
-The Gray optimizer places the highest-probability cell on codeword 0 and
-then fills the Hamming rings around it stage by stage: stage i takes the
-ring-size many highest-probability unassigned cells, weighs each ring
-codeword by the probability product of the already-assigned cells on the
-unique complete i-bit Gray cycle through the seed and that codeword
-(target excluded), and matches cells to codewords rank to rank, which is
-the optimal pairing of two sorted sequences.  Every stage, the first
+Every Gray encoder takes cells off one global order, descending
+probability then ascending id, over the grid padded with zero-probability
+dummies to 2^k cells.  An encoding is therefore its claim order: the t-th
+codeword claimed holds the t-th cell of that order, and the encoders
+differ only in the order in which they claim codewords.
+
+The Gray optimizer claims codeword 0 and then the Hamming rings around it
+stage by stage: stage i weighs each free ring codeword by the probability
+product of the claimed cells on the unique complete i-bit Gray cycle
+through the seed and that codeword, and claims the ring in descending
+weight, which rank-matches the next cells to the heaviest cycles, the
+optimal pairing of two sorted sequences.  Every stage, the first
 included, runs this one rule; at distance one the cycle is just the seed
-and its neighbour, so the weights tie and the free neighbours take the
-next top cells in ascending codeword order.
+and its neighbour, so the weights tie and the free neighbours are claimed
+in ascending codeword order.
 
 The multiple-seed variant visits the codewords in (Hamming weight, value)
-order and, on each one still free, seeds a fresh cluster with the top
-unassigned cell and runs a depth-limited pass around it.  It inherits the
+order and, on each one still free, claims it as the seed of a fresh
+cluster and runs a depth-limited pass around it.  It inherits the
 single-pass machinery and therefore the same deterministic tie-breaking:
 equal probabilities resolve by ascending cell id and equal cycle weights
 by ascending codeword value.
 
 The scaled variant is a breadth-first sweep of depth-one passes around the
 origin, one per codeword.  It runs as one array pass per Hamming ring:
-every ring-i codeword's free neighbours lie in ring i+1, and cells come off
-the global probability order one per claimed codeword, so ring i+1 is
+every ring-i codeword's free neighbours lie in ring i+1, so ring i+1 is
 claimed in the order (visit rank of its earliest-visited neighbour in ring
 i, codeword value) and needs only a sort per ring.
 
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,9 +50,10 @@ from .grid import Grid, GridEncoding, quadtree_levels
 
 
 def _global_order(grid: Grid) -> Tuple[np.ndarray, List[float]]:
-    """The global cell order (descending probability, ascending id) and
-    the cells' log-probabilities (-inf at zero), over the grid padded with
-    zero-probability dummies to 2^k cells.
+    """The global cell order (descending probability, ascending id) over
+    the grid padded with zero-probability dummies to 2^k cells, and the
+    log-probabilities (-inf at zero) in that order, so by claim position.
+    Real cells take the first n positions.
 
     math.log, not np.log: np.log may differ in the last bit, which would
     reorder near-ties between cycle weights.
@@ -56,8 +61,29 @@ def _global_order(grid: Grid) -> Tuple[np.ndarray, List[float]]:
     padded = np.zeros(1 << grid.k)
     padded[:grid.n] = grid.p
     order = np.argsort(-padded, kind="stable")
-    logp = [math.log(p) if p > 0.0 else -math.inf for p in padded.tolist()]
+    logp = [math.log(p) if p > 0.0 else -math.inf
+            for p in padded[order].tolist()]
     return order, logp
+
+
+def _ring_order(k: int) -> np.ndarray:
+    """The 2^k codewords by Hamming weight, then value."""
+    weight = np.zeros(1 << k, dtype=np.int8)
+    for b in range(k):
+        weight[1 << b:2 << b] = weight[:1 << b] + 1
+    return np.argsort(weight, kind="stable").astype(np.int32)
+
+
+def _encoding(grid: Grid, order: np.ndarray, claimed: Sequence[int],
+              algorithm: str) -> GridEncoding:
+    """The encoding whose t-th claimed codeword holds cell order[t]."""
+    if len(claimed) < grid.n:
+        raise ValueError(f"cell {order[len(claimed)]} left unassigned")
+    forward = np.empty(1 << grid.k, dtype=np.int32)
+    forward[order[:len(claimed)]] = claimed
+    return GridEncoding(n=grid.n, k=grid.k,
+                        forward=tuple(forward[:grid.n].tolist()),
+                        algorithm=algorithm)
 
 
 class OpCounter:
@@ -72,69 +98,46 @@ class OpCounter:
 
 
 class Assignment:
-    """Mutable cell-to-codeword assignment over the padded codeword space.
+    """A Gray encoding under construction, held as its claim order.
 
-    Real cells are padded with zero-probability dummies up to 2^k so every
-    ring can be fully matched; dummies are dropped from the final encoding.
-    Cells are consumed in a fixed global order (descending probability,
-    ascending id), so every "highest-probability unassigned" selection is a
-    scan from one pointer.
+    `claimed` lists the codewords claimed so far; the t-th of them holds
+    the t-th cell of the global order.  `logp_at` gives, per codeword of
+    the padded space, the log-probability of the cell on it, or None while
+    the codeword is free.  Dummy cells are dropped from the final encoding.
     """
 
     def __init__(self, grid: Grid):
-        self.n = grid.n
+        self.grid = grid
         self.k = grid.k
-        self.space = 1 << self.k
-        order, self.logp = _global_order(grid)
-        self._order = order.tolist()
-        self._ptr = 0
-        self.cell_at: List[Optional[int]] = [None] * self.space
-        self.index_of: List[Optional[int]] = [None] * self.space
+        self.order, self.logp = _global_order(grid)
+        self.claimed: List[int] = []
+        self.logp_at: List[Optional[float]] = [None] * (1 << self.k)
 
-    # --- bookkeeping ---
-
-    def assign(self, cell: int, index: int) -> None:
-        if self.index_of[cell] is not None:
-            raise ValueError(f"cell {cell} already assigned")
-        if self.cell_at[index] is not None:
-            raise ValueError(f"codeword {index} already assigned")
-        self.index_of[cell] = index
-        self.cell_at[index] = cell
-
-    def take_top_cells(self, count: int) -> List[int]:
-        """Next `count` unassigned cells in global probability order."""
-        out = []
-        while len(out) < count:
-            cell = self._order[self._ptr]
-            self._ptr += 1
-            if self.index_of[cell] is None:
-                out.append(cell)
-        return out
-
-    # --- the core stage ---
+    def claim(self, index: int) -> None:
+        """Give codeword `index` the next cell of the global order."""
+        if self.logp_at[index] is not None:
+            raise ValueError(f"codeword {index} already claimed")
+        self.logp_at[index] = self.logp[len(self.claimed)]
+        self.claimed.append(index)
 
     def go_stage(self, seed_index: int, distance: int,
                  counter: Optional[OpCounter] = None) -> None:
-        """Fill the unassigned part of the ring at `distance` around the seed.
+        """Claim the free part of the ring at `distance` around the seed.
 
         Ring codewords are weighted by the mean log-probability of the
-        assigned cells on their seed cycle (target excluded) and matched
-        rank to rank against the highest-probability unassigned cells.
+        claimed cells on their seed cycle (the free target adds nothing)
+        and claimed heaviest first, ties by codeword value.
         """
-        ring = [c for c in ring_values(seed_index, self.k, distance)
-                if self.cell_at[c] is None]
-        if not ring:
-            return
         weighted = []
-        for cj in ring:
+        for cj in ring_values(seed_index, self.k, distance):
+            if self.logp_at[cj] is not None:
+                continue
             total = 0.0
             factors = 0
             for node in cycle_node_values(seed_index, cj):
-                if node == cj:
-                    continue
-                cell = self.cell_at[node]
-                if cell is not None:
-                    total += self.logp[cell]
+                logp = self.logp_at[node]
+                if logp is not None:
+                    total += logp
                     factors += 1
             if counter is not None:
                 counter.record_product(factors)
@@ -144,42 +147,36 @@ class Assignment:
             # would rank partially assigned cycles above densely assigned
             # ones just for having fewer (all-negative) log terms.
             weight = total / factors if factors else -math.inf
-            weighted.append((weight, cj))
-        weighted.sort(key=lambda t: (-t[0], t[1]))
-        cells = self.take_top_cells(len(ring))
-        for cell, (_, cj) in zip(cells, weighted):
-            self.assign(cell, cj)
+            weighted.append((-weight, cj))
+        for _, cj in sorted(weighted):
+            self.claim(cj)
 
     def go_pass(self, seed_index: int, depth: int,
                 counter: Optional[OpCounter] = None) -> None:
-        if self.cell_at[seed_index] is None:
-            raise ValueError("seed codeword must be assigned before a pass")
+        if self.logp_at[seed_index] is None:
+            raise ValueError("seed codeword must be claimed before a pass")
         for i in range(1, depth + 1):
             self.go_stage(seed_index, i, counter)
 
+    def _free(self) -> List[int]:
+        return [i for i, logp in enumerate(self.logp_at) if logp is None]
+
     def complete_sorted(self) -> None:
-        """Assign leftover cells to leftover codewords deterministically."""
-        free = [i for i in range(self.space) if self.cell_at[i] is None]
-        for index, cell in zip(free, self.take_top_cells(len(free))):
-            self.assign(cell, index)
+        """Claim the free codewords in ascending order."""
+        for index in self._free():
+            self.claim(index)
 
     def complete_random(self, rng: random.Random) -> None:
-        """Assign leftover cells to leftover codewords uniformly at random."""
-        free = [i for i in range(self.space) if self.cell_at[i] is None]
-        cells = self.take_top_cells(len(free))
-        rng.shuffle(cells)
-        for index, cell in zip(free, cells):
-            self.assign(cell, index)
+        """Give the free codewords the remaining cells uniformly at random:
+        the j-th free codeword takes the j-th of the shuffled cells."""
+        free = self._free()
+        slots = list(range(len(free)))
+        rng.shuffle(slots)
+        for _, index in sorted(zip(slots, free)):
+            self.claim(index)
 
     def to_encoding(self, algorithm: str) -> GridEncoding:
-        forward = []
-        for cell in range(self.n):
-            index = self.index_of[cell]
-            if index is None:
-                raise ValueError(f"cell {cell} left unassigned")
-            forward.append(index)
-        return GridEncoding(n=self.n, k=self.k, forward=tuple(forward),
-                            algorithm=algorithm)
+        return _encoding(self.grid, self.order, self.claimed, algorithm)
 
 
 def gray_optimizer(grid: Grid,
@@ -197,7 +194,7 @@ def gray_optimizer(grid: Grid,
     if not 1 <= depth <= k:
         raise ValueError(f"depth {depth} outside [1, {k}]")
     state = Assignment(grid)
-    state.assign(state.take_top_cells(1)[0], 0)
+    state.claim(0)
     state.go_pass(0, depth, counter)
     state.complete_sorted()
     return state.to_encoding("GO")
@@ -225,9 +222,9 @@ def msgo(grid: Grid,
         raise ValueError("depth must be >= 1")
     depth = min(depth, grid.k)
     state = Assignment(grid)
-    for index in sorted(range(state.space), key=lambda i: (i.bit_count(), i)):
-        if state.cell_at[index] is None:
-            state.assign(state.take_top_cells(1)[0], index)
+    for index in _ring_order(grid.k).tolist():
+        if state.logp_at[index] is None:
+            state.claim(index)
             state.go_pass(index, depth, counter)
     return state.to_encoding("MSGO")
 
@@ -242,14 +239,12 @@ def sgo(grid: Grid, counter: Optional[OpCounter] = None) -> GridEncoding:
     neighbours in ascending codeword order.
 
     The sweep runs one array pass per ring rather than one pass per
-    codeword, which gives the same encoding for three reasons:
+    codeword, which gives the same encoding for two reasons:
 
     - The seed sits on codeword 0, so a ring-i codeword's free neighbours
-      all lie in ring i+1 and visiting ring i assigns all of ring i+1.
-    - Cells are only ever taken from the top of the global (descending
-      probability, ascending id) order, so the t-th codeword claimed gets
-      the t-th cell of that order.
-    - Ring i+1 is therefore claimed in the order (visit rank of its
+      all lie in ring i+1 and visiting ring i claims all of ring i+1.
+    - The t-th codeword claimed gets the t-th cell of the global order,
+      so ring i+1 is claimed in the order (visit rank of its
       earliest-visited neighbour in ring i, codeword value).
 
     So each ring costs one sort for its visit order, k gathered minima
@@ -260,12 +255,8 @@ def sgo(grid: Grid, counter: Optional[OpCounter] = None) -> GridEncoding:
     k = grid.k
     space = 1 << k
     order, logp = _global_order(grid)
-    neg_logp = -np.array(logp)[order]     # indexed by claim position
-    # codewords grouped by Hamming weight, ascending value within a ring
-    weight = np.zeros(space, dtype=np.int8)
-    for b in range(k):
-        weight[1 << b:2 << b] = weight[:1 << b] + 1
-    by_ring = np.argsort(weight, kind="stable").astype(np.int32)
+    neg_logp = -np.array(logp)            # indexed by claim position
+    by_ring = _ring_order(k)
     # visit ranks of the current ring; unvisited codewords (the ring two
     # up included) keep `space`, so they never win a minimum
     visit_rank = np.full(space, space, dtype=np.int32)
@@ -282,10 +273,7 @@ def sgo(grid: Grid, counter: Optional[OpCounter] = None) -> GridEncoding:
             np.minimum(first, visit_rank[up ^ (1 << b)], out=first)
         claimed.append(up[np.lexsort((up, first))])
         lo = hi
-    forward = np.empty(space, dtype=np.int32)
-    forward[order] = np.concatenate(claimed)
-    return GridEncoding(n=grid.n, k=k, forward=tuple(forward[:grid.n].tolist()),
-                        algorithm="SGO")
+    return _encoding(grid, order, np.concatenate(claimed), "SGO")
 
 
 def _quad_labels(xs: np.ndarray, ys: np.ndarray, levels: int) -> np.ndarray:

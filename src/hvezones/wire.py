@@ -21,6 +21,13 @@ positions in ascending order.
 
 There is no secret-key blob: the authority never ships its secret key,
 and `hve.setup` re-derives a key pair from (width, seed).
+
+A token blob carries its pattern text, so the untrusted server that
+loads it reads the 0/1 value of every non-star bit, and with them the
+codewords of the zone the token covers.  Boneh-Waters HVE reveals only
+the non-star positions J, and `hve.query` reads only the positions and
+the width; the pattern's bit values go on the wire beyond what the
+scheme itself reveals.
 """
 
 from __future__ import annotations

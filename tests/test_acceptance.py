@@ -12,19 +12,19 @@ import random
 import statistics
 import time
 
-import heapq
-
 import numpy as np
 import pytest
 
 from hvezones.bench import (ExperimentConfig, run_dynamics, run_experiment)
 from hvezones.dynamics import (build_q_independent, damp, evolve,
                                stationary_exact, stationary_monte_carlo)
-from hvezones.gray import cycle_node_values, ring_values
+from hvezones.gray import ring_values
 from hvezones.grid import Grid, GridEncoding
 from hvezones.hve import MessageSpace, encrypt, gen_token, query, setup
 from hvezones.optimizers import OpCounter, gray_optimizer, msgo, sgo
-from hvezones.tokens import expand_implicant, minimize
+from hvezones.tokens import minimize
+
+from oracles import brute_force_min_cost, stage_objective
 
 MASTER_SEED = 42
 
@@ -128,16 +128,6 @@ def test_04_go_operation_counts():
 
 # --- 5. GO stage optimality oracle ---
 
-def stage_objective(prob_at, k, seed_index, distance):
-    total = 0.0
-    for cj in ring_values(seed_index, k, distance):
-        prod = 1.0
-        for node in cycle_node_values(seed_index, cj):
-            prod *= prob_at.get(node, 1.0)
-        total += prod
-    return total
-
-
 def test_05_go_stage_optimality():
     started = time.perf_counter()
     rng = random.Random(MASTER_SEED)
@@ -184,40 +174,6 @@ def test_06_rank_matching_optimality():
 
 
 # --- 7. token minimization oracle ---
-
-def brute_force_min_cost(k, minterms, dontcares):
-    allowed = set(minterms) | set(dontcares)
-    ms = sorted(minterms)
-    index = {m: i for i, m in enumerate(ms)}
-    implicants = []
-    for mask in range(1 << k):
-        for value in range(1 << k):
-            if value & mask:
-                continue
-            cells = expand_implicant((mask, value))
-            if all(v in allowed for v in cells):
-                bits = 0
-                for v in cells:
-                    if v in index:
-                        bits |= 1 << index[v]
-                if bits:
-                    implicants.append((k - bin(mask).count("1"), bits))
-    full = (1 << len(ms)) - 1
-    best = {0: 0}
-    heap = [(0, 0)]
-    while heap:
-        cost, covered = heapq.heappop(heap)
-        if covered == full:
-            return cost
-        if best.get(covered, math.inf) < cost:
-            continue
-        for c, bits in implicants:
-            nxt = covered | bits
-            if nxt != covered and best.get(nxt, math.inf) > cost + c:
-                best[nxt] = cost + c
-                heapq.heappush(heap, (cost + c, nxt))
-    raise AssertionError("unreachable")
-
 
 def test_07_token_minimization_oracle():
     started = time.perf_counter()

@@ -10,28 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvezones import bench
-from hvezones.gray import cycle_node_values, ring_values
+from hvezones.gray import ring_values
 from hvezones.grid import Grid
 from hvezones.optimizers import (Assignment, OpCounter, _global_order,
                                  _quad_labels, gray_optimizer, hge_baseline,
                                  msgo, random_baseline, sgo)
 
+from oracles import stage_objective
+
 
 def top_cell(probs):
     """Highest-probability cell, ties to the lowest id."""
     return min(range(len(probs)), key=lambda c: (-probs[c], c))
-
-
-def stage_objective(prob_at, k, seed_index, distance):
-    """Sum over the ring's codewords of the full cycle probability product;
-    prob_at maps codeword -> probability (1.0 when unassigned)."""
-    total = 0.0
-    for cj in ring_values(seed_index, k, distance):
-        prod = 1.0
-        for node in cycle_node_values(seed_index, cj):
-            prod *= prob_at.get(node, 1.0)
-        total += prod
-    return total
 
 
 def test_two_cell_grid_forced():
@@ -50,14 +40,30 @@ def test_seed_defaults_and_validation():
 
 
 def test_assignment_rejects_double_assignment():
-    st = Assignment(Grid.regular(4, [0.4, 0.3, 0.2, 0.1]))
-    st.assign(0, 0)
+    """Claims take cells 1, 0, 2, 3 in global order; a taken codeword and
+    a pass from a free seed are refused."""
+    st = Assignment(Grid.regular(4, [0.3, 0.4, 0.2, 0.1]))
     with pytest.raises(ValueError):
-        st.assign(0, 1)
+        st.go_pass(3, 1)  # a pass needs a claimed seed codeword
+    st.claim(2)
     with pytest.raises(ValueError):
-        st.assign(1, 0)
-    with pytest.raises(ValueError):
-        st.go_pass(3, 1)  # unassigned seed codeword
+        st.claim(2)  # a taken codeword
+    st.go_pass(2, 1)  # the seed's free neighbours, ascending
+    assert st.claimed == [2, 0, 3]
+    st.complete_sorted()
+    assert st.to_encoding("GO").forward == (0, 2, 3, 1)
+
+
+def test_assignment_refuses_a_real_cell_without_codeword():
+    """Cell 1, at probability zero, still outranks dummy cell 3 in the
+    global order, so two claims leave it without a codeword."""
+    st = Assignment(Grid.regular(3, [0.5, 0.0, 0.9]))
+    st.claim(0)
+    st.claim(1)
+    with pytest.raises(ValueError, match="cell 1 left unassigned"):
+        st.to_encoding("GO")
+    st.claim(3)
+    assert st.to_encoding("GO").forward == (1, 3, 0)
 
 
 def test_op_counter_closed_form():
@@ -179,7 +185,8 @@ def test_global_order_matches_the_sorted_key(n):
     order, logp = _global_order(grid)
     assert order.tolist() == sorted(range(len(padded)),
                                     key=lambda c: (-padded[c], c))
-    assert logp == [math.log(p) if p > 0.0 else -math.inf for p in padded]
+    assert logp == [math.log(padded[c]) if padded[c] > 0.0 else -math.inf
+                    for c in order]
 
 
 def test_sgo_hand_example():
@@ -291,11 +298,11 @@ def scalar_sgo_forward(grid):
     visited by (descending log-probability, codeword) with one depth-one
     stage per codeword."""
     state = Assignment(grid)
-    state.assign(state.take_top_cells(1)[0], 0)
+    state.claim(0)
     state.go_pass(0, 1)
     for i in range(1, state.k + 1):
         ring = ring_values(0, state.k, i)
-        ring.sort(key=lambda c: (-state.logp[state.cell_at[c]], c))
+        ring.sort(key=lambda c: (-state.logp_at[c], c))
         for cj in ring:
             state.go_stage(cj, 1)
     return state.to_encoding("SGO").forward

@@ -1,9 +1,7 @@
 """Token minimization: exactness, optimality against brute force, costing."""
 
-import heapq
 import io
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -24,6 +22,8 @@ from hvezones.tokens import (PrimeTable, _cover_bits, _greedy_pick,
                              pattern_implicant, prime_implicants,
                              write_token_set)
 
+from oracles import brute_force_min_cost
+
 
 def identity_encoding(n, k):
     return GridEncoding(n=n, k=k, forward=tuple(range(n)), algorithm="ID")
@@ -35,42 +35,6 @@ def greedy_table(k, minterms, dontcares):
     allowed = minterms | dontcares
     return PrimeTable.build(k, {_grow_prime_cube(m, k, allowed) for m in minterms},
                             minterms)
-
-
-def brute_force_min_cost(k, minterms, dontcares):
-    """Independent oracle: Dijkstra over covered-minterm subsets using every
-    implicant contained in minterms | dontcares."""
-    allowed = set(minterms) | set(dontcares)
-    ms = sorted(minterms)
-    index = {m: i for i, m in enumerate(ms)}
-    implicants = []
-    for mask in range(1 << k):
-        for value in range(1 << k):
-            if value & mask:
-                continue
-            cells = expand_implicant((mask, value))
-            if all(v in allowed for v in cells):
-                bits = 0
-                for v in cells:
-                    if v in index:
-                        bits |= 1 << index[v]
-                if bits:
-                    implicants.append((k - bin(mask).count("1"), bits))
-    full = (1 << len(ms)) - 1
-    best = {0: 0}
-    heap = [(0, 0)]
-    while heap:
-        cost, covered = heapq.heappop(heap)
-        if covered == full:
-            return cost
-        if best.get(covered, math.inf) < cost:
-            continue
-        for c, bits in implicants:
-            nxt = covered | bits
-            if nxt != covered and best.get(nxt, math.inf) > cost + c:
-                best[nxt] = cost + c
-                heapq.heappush(heap, (cost + c, nxt))
-    raise AssertionError("unreachable: the full cover always exists")
 
 
 def test_pattern_implicant_round_trip():
