@@ -23,6 +23,7 @@ ascending cell id.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import time
@@ -90,8 +91,10 @@ def sample_zone(probs: Sequence[float], fraction: float, rng: random.Random,
     """ceil(fraction * n) distinct cells, weights proportional to p(v).
 
     Weighted draws use exponential keys (log u / w), which reproduce
-    sequential weighted sampling without replacement; the uniform flag is
-    the alternative sampling law.
+    sequential weighted sampling without replacement: one u per cell in id
+    order, and the cells of the largest keys, ties to the lowest id.  Only
+    the zone's keys are held, never one per cell.  The uniform flag is the
+    alternative sampling law.
     """
     n = len(probs)
     if not 0 < fraction <= 1 or n < 1:
@@ -99,13 +102,14 @@ def sample_zone(probs: Sequence[float], fraction: float, rng: random.Random,
     count = math.ceil(fraction * n)
     if uniform:
         return frozenset(rng.sample(range(n), count))
-    keyed = []
-    for cell, w in enumerate(probs):
-        u = rng.random()
-        key = math.log(u) / w if w > 0.0 else -math.inf
-        keyed.append((-key, cell))
-    keyed.sort()
-    return frozenset(cell for _, cell in keyed[:count])
+
+    def keyed():
+        for cell, w in enumerate(probs):
+            u = rng.random()
+            key = math.log(u) / w if w > 0.0 else -math.inf
+            yield -key, cell
+
+    return frozenset(cell for _, cell in heapq.nsmallest(count, keyed()))
 
 
 def add_noise(probs: Sequence[float], u: float, rng: random.Random) -> List[float]:

@@ -3,14 +3,16 @@
 A grid holds n cells as three read-only float64 arrays indexed by cell
 id: the centers `x` and `y` in the unit square and the alert
 probabilities `p`.  An encoding is an injection of cell ids into k-bit
-codewords; when n is not a power of two the 2^k - n unassigned codewords
-are dummies, usable as don't-cares during token minimization.
+codewords, k <= 62, held the same way: one read-only int64 array of
+codewords indexed by cell id.  Reverse lookups search a sorted copy of
+that array, built on the first lookup, and the `forward` tuple is built
+on its first read.  When n is not a power of two the 2^k - n unassigned
+codewords are dummies, usable as don't-cares during token minimization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, IO, List, Optional, Sequence, Tuple
 
@@ -23,13 +25,13 @@ def min_width(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def _read_only(values: Sequence[float]) -> np.ndarray:
-    """`values` as a read-only float64 array; one that already is one is
+def _read_only(values: Sequence, dtype: type = np.float64) -> np.ndarray:
+    """`values` as a read-only array of `dtype`; one that already is one is
     shared rather than copied."""
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
             and not values.flags.writeable):
         return values
-    array = np.array(values, dtype=np.float64)
+    array = np.array(values, dtype=dtype)
     array.setflags(write=False)
     return array
 
@@ -85,54 +87,104 @@ class Grid:
         return cls(x, y, np.full(n, 0.5) if probs is None else probs)
 
 
-@dataclass(frozen=True)
+MAX_WIDTH = 62     # 2^k and every codeword fit in int64
+
+
 class GridEncoding:
-    """Injection of cell ids into k-bit codewords.
+    """Injection of cell ids into k-bit codewords, held as `codewords`, one
+    read-only int64 array indexed by cell id.
 
     Minimal-width encodings have k = ceil(log2 n); the hierarchical
-    baseline pads to full quadtree levels and may use a larger k.
+    baseline pads to full quadtree levels and may use a larger k, up to
+    MAX_WIDTH.  Equality and hashing go by value: n, k, codewords and
+    algorithm.
     """
 
-    n: int
-    k: int
-    forward: Tuple[int, ...]                       # cell id -> codeword value
-    algorithm: str = "unknown"
-
-    def __post_init__(self):
-        if len(self.forward) != self.n:
+    def __init__(self, n: int, k: int, forward: Sequence[int],
+                 algorithm: str = "unknown"):
+        if k > MAX_WIDTH:
+            raise ValueError(f"codeword width k={k} exceeds {MAX_WIDTH}")
+        try:
+            codes = _read_only(forward, np.int64)
+        except OverflowError:       # a Python int beyond int64 is out of range
+            bad = next(v for v in forward if not 0 <= v < 1 << k)
+            raise ValueError(f"codeword {bad} out of range for width {k}") from None
+        if codes.ndim != 1 or codes.size != n:
             raise ValueError("forward map must cover every cell")
-        if self.k < min_width(self.n):
+        if k < min_width(n):
             raise ValueError("codeword width too small for cell count")
-        space = 1 << self.k
-        if self.n and (min(self.forward) < 0 or max(self.forward) >= space):
-            bad = next(v for v in self.forward if not 0 <= v < space)
-            raise ValueError(f"codeword {bad} out of range for width {self.k}")
-        if len(set(self.forward)) != self.n:
-            seen = set()
-            bad = next(v for v in self.forward if v in seen or seen.add(v))
-            raise ValueError(f"codeword {bad} assigned twice")
+        values, cells = _by_codeword(codes)
+        if n and not (int(values[0]) >= 0 and int(values[-1]) < 1 << k):
+            bad = (codes < 0) | (codes >= 1 << k)
+            raise ValueError(f"codeword {codes[bad.argmax()]} out of range for width {k}")
+        gaps = np.diff(values)
+        if not gaps.all():
+            # the first cell, in id order, whose codeword an earlier cell holds
+            repeat = cells[1:][gaps == 0].min()
+            raise ValueError(f"codeword {codes[repeat]} assigned twice")
+        for name, value in (("n", n), ("k", k), ("codewords", codes),
+                            ("algorithm", algorithm)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a GridEncoding")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a GridEncoding")
+
+    def __eq__(self, other):
+        if not isinstance(other, GridEncoding):
+            return NotImplemented
+        return (self.n, self.k, self.algorithm) == (other.n, other.k, other.algorithm) \
+            and np.array_equal(self.codewords, other.codewords)
+
+    def __hash__(self):
+        return hash((self.n, self.k, self.codewords.tobytes(), self.algorithm))
+
+    def __repr__(self):
+        return (f"GridEncoding(n={self.n}, k={self.k}, forward={self.forward!r}, "
+                f"algorithm={self.algorithm!r})")
 
     @cached_property
-    def _reverse(self) -> Dict[int, int]:
-        """Codeword value -> cell id, built on the first lookup: most
-        encodings are only read forward.  A dict, not a 2^k array, since
-        k may reach 48."""
-        return dict(zip(self.forward, range(self.n)))
+    def forward(self) -> Tuple[int, ...]:
+        """Cell id -> codeword value as a tuple, built on the first read."""
+        return tuple(self.codewords.tolist())
+
+    @cached_property
+    def _lookup(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The codewords ascending and the cell holding each, built on the
+        first lookup: most encodings are only read forward.  Arrays of n,
+        not of 2^k, since k may reach MAX_WIDTH."""
+        return _by_codeword(self.codewords)
 
     @property
     def space(self) -> int:
         return 1 << self.k
 
     def value(self, cell_id: int) -> int:
-        return self.forward[cell_id]
+        return int(self.codewords[cell_id])
 
     def cell_at(self, value: int) -> Optional[int]:
         """Cell mapped to a codeword value, or None for a dummy."""
-        return self._reverse.get(value)
+        if not 0 <= value < self.space:
+            return None
+        values, cells = self._lookup
+        i = int(values.searchsorted(value))
+        return int(cells[i]) if i < values.size and values[i] == value else None
 
     def dummies(self) -> List[int]:
         """Codeword values that map to no cell, ascending."""
-        return [v for v in range(self.space) if v not in self._reverse]
+        free = np.ones(self.space, dtype=bool)
+        free[self.codewords] = False
+        return np.flatnonzero(free).tolist()
+
+
+def _by_codeword(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The codewords ascending and the cell holding each, ties by cell id.
+    A stable argsort, which the encoders already run: the checks page in
+    no further numpy sort code."""
+    cells = np.argsort(codes, kind="stable")
+    return codes[cells], cells
 
 
 def quadtree_levels(n: int) -> int:
@@ -157,7 +209,7 @@ def write_encoding(fp: IO[str], enc: GridEncoding, params: str = "", seed: Optio
     _check_file_width(enc.n, enc.k)
     fp.write(f"# n={enc.n} k={enc.k} algorithm={enc.algorithm}"
              f" params={params or '-'} seed={'-' if seed is None else seed}\n")
-    for cell_id, value in enumerate(enc.forward):
+    for cell_id, value in enumerate(enc.codewords.tolist()):
         fp.write(f"{cell_id}\t{value:0{enc.k}b}\n")
 
 
@@ -193,7 +245,7 @@ def read_encoding(fp: IO[str]) -> GridEncoding:
         forward[cell] = int(word, 2)
     if len(forward) != n:
         raise ValueError("encoding file is missing cells")
-    return GridEncoding(n=n, k=k, forward=tuple(forward[c] for c in range(n)),
+    return GridEncoding(n=n, k=k, forward=[forward[c] for c in range(n)],
                         algorithm=meta.get("algorithm", "unknown"))
 
 

@@ -49,21 +49,15 @@ from .gray import cycle_node_values, ring_values
 from .grid import Grid, GridEncoding, quadtree_levels
 
 
-def _global_order(grid: Grid) -> Tuple[np.ndarray, List[float]]:
+def _global_order(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     """The global cell order (descending probability, ascending id) over
     the grid padded with zero-probability dummies to 2^k cells, and the
-    log-probabilities (-inf at zero) in that order, so by claim position.
-    Real cells take the first n positions.
-
-    math.log, not np.log: np.log may differ in the last bit, which would
-    reorder near-ties between cycle weights.
-    """
+    probabilities in that order, so by claim position.  Real cells take
+    the first n positions."""
     padded = np.zeros(1 << grid.k)
     padded[:grid.n] = grid.p
     order = np.argsort(-padded, kind="stable")
-    logp = [math.log(p) if p > 0.0 else -math.inf
-            for p in padded[order].tolist()]
-    return order, logp
+    return order, padded[order]
 
 
 def _ring_order(k: int) -> np.ndarray:
@@ -79,11 +73,10 @@ def _encoding(grid: Grid, order: np.ndarray, claimed: Sequence[int],
     """The encoding whose t-th claimed codeword holds cell order[t]."""
     if len(claimed) < grid.n:
         raise ValueError(f"cell {order[len(claimed)]} left unassigned")
-    forward = np.empty(1 << grid.k, dtype=np.int32)
-    forward[order[:len(claimed)]] = claimed
-    return GridEncoding(n=grid.n, k=grid.k,
-                        forward=tuple(forward[:grid.n].tolist()),
-                        algorithm=algorithm)
+    codewords = np.empty(grid.n, dtype=np.int64)
+    codewords[order[:grid.n]] = claimed[:grid.n]
+    codewords.setflags(write=False)
+    return GridEncoding(n=grid.n, k=grid.k, forward=codewords, algorithm=algorithm)
 
 
 class OpCounter:
@@ -109,7 +102,10 @@ class Assignment:
     def __init__(self, grid: Grid):
         self.grid = grid
         self.k = grid.k
-        self.order, self.logp = _global_order(grid)
+        # math.log, not np.log: np.log may differ in the last bit, which
+        # would reorder near-ties between cycle weights
+        self.order, probs = _global_order(grid)
+        self.logp = [math.log(p) if p > 0.0 else -math.inf for p in probs.tolist()]
         self.claimed: List[int] = []
         self.logp_at: List[Optional[float]] = [None] * (1 << self.k)
 
@@ -254,8 +250,8 @@ def sgo(grid: Grid, counter: Optional[OpCounter] = None) -> GridEncoding:
     """
     k = grid.k
     space = 1 << k
-    order, logp = _global_order(grid)
-    neg_logp = -np.array(logp)            # indexed by claim position
+    order, neg_p = _global_order(grid)
+    np.negative(neg_p, out=neg_p)         # indexed by claim position
     by_ring = _ring_order(k)
     # visit ranks of the current ring; unvisited codewords (the ring two
     # up included) keep `space`, so they never win a minimum
@@ -265,7 +261,7 @@ def sgo(grid: Grid, counter: Optional[OpCounter] = None) -> GridEncoding:
     for i in range(k):
         ring = claimed[-1]
         hi = lo + ring.size
-        visits = ring[np.lexsort((ring, neg_logp[lo:hi]))]
+        visits = ring[np.lexsort((ring, neg_p[lo:hi]))]
         visit_rank[visits] = np.arange(ring.size, dtype=np.int32)
         up = by_ring[hi:hi + math.comb(k, i + 1)]
         first = np.full(up.size, space, dtype=np.int32)
@@ -281,19 +277,27 @@ def _quad_labels(xs: np.ndarray, ys: np.ndarray, levels: int) -> np.ndarray:
     a time: 2 Gray bits per level, NW NE SE SW."""
     x0, y0 = np.zeros_like(xs), np.zeros_like(ys)
     x1, y1 = np.ones_like(xs), np.ones_like(ys)
+    mid = np.empty_like(xs)
+    side = np.empty(xs.shape, dtype=bool)
     labels = np.zeros(xs.shape, dtype=np.int64)
     for _ in range(levels):
-        mx, my = (x0 + x1) / 2, (y0 + y1) / 2
-        west = xs < mx
-        north = ys >= my
         # NW 00, NE 01, SE 11, SW 10: high bit south, low bit east
-        labels <<= 2
-        labels += 2 * ~north
-        labels += ~west
-        np.copyto(x1, mx, where=west)
-        np.copyto(x0, mx, where=~west)
-        np.copyto(y0, my, where=north)
-        np.copyto(y1, my, where=~north)
+        np.add(y0, y1, out=mid)
+        mid /= 2
+        np.greater_equal(ys, mid, out=side)         # north
+        np.copyto(y0, mid, where=side)
+        np.logical_not(side, out=side)              # south
+        np.copyto(y1, mid, where=side)
+        labels <<= 1
+        labels += side
+        np.add(x0, x1, out=mid)
+        mid /= 2
+        np.less(xs, mid, out=side)                  # west
+        np.copyto(x1, mid, where=side)
+        np.logical_not(side, out=side)              # east
+        np.copyto(x0, mid, where=side)
+        labels <<= 1
+        labels += side
     return labels
 
 
@@ -308,9 +312,12 @@ def hge_baseline(grid: Grid) -> GridEncoding:
     """
     levels = quadtree_levels(grid.n)
     while levels <= 24:
-        leaves = _quad_labels(grid.x, grid.y, levels).tolist()
-        if len(set(leaves)) == grid.n:
-            return GridEncoding(n=grid.n, k=2 * levels, forward=tuple(leaves),
+        leaves = _quad_labels(grid.x, grid.y, levels)
+        # the stable argsort GridEncoding's checks run, not a second numpy
+        # sort routine
+        if np.diff(leaves[np.argsort(leaves, kind="stable")]).all():
+            leaves.setflags(write=False)
+            return GridEncoding(n=grid.n, k=2 * levels, forward=leaves,
                                 algorithm="HGE")
         levels += 1
     raise ValueError("cells too close together to separate by quadtree")
@@ -320,5 +327,5 @@ def random_baseline(grid: Grid, rng_seed: int) -> GridEncoding:
     """Uniformly random injection of cells into the minimal codeword space."""
     rng = random.Random(rng_seed)
     forward = rng.sample(range(1 << grid.k), grid.n)
-    return GridEncoding(n=grid.n, k=grid.k, forward=tuple(forward),
+    return GridEncoding(n=grid.n, k=grid.k, forward=forward,
                         algorithm="RANDOM")

@@ -411,14 +411,13 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
     if not remaining:
         return sorted(set(chosen), key=text_rank.__getitem__), True
 
-    # sorted rank tuples compare as the sorted pattern tuples do, without
-    # comparing strings at a leaf; within one cost, text rank is index order
+    # covers tie on text ranks, which order the patterns as their text
+    # does without comparing strings; within one cost, text rank is index
+    # order
     base_cost = sum(costs[i] for i in chosen)
     greedy = _greedy_pick(bit_positions(active), cover_bits, costs, remaining, text_rank)
     greedy = _prune_redundant(greedy, cover_bits, costs, remaining, text_rank)
     best = chosen + greedy
-    best_key = (sum(costs[i] for i in best), len(best),
-                tuple(sorted(text_rank[i] for i in best)))
 
     # Branch on the minterm with the fewest holders (lowest position on
     # ties).  That key is fixed for the whole search, so the minterms are
@@ -438,17 +437,22 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
     entries = [[(costs[i], ~ranked[i], i) for i in held] + [(_NO_PICK, 0, -1)]
                for held in holders_at]
 
-    best, certified = _branch_and_bound(entries, chosen, base_cost, best, best_key, text_rank)
+    best, certified = _branch_and_bound(entries, chosen, base_cost, best, costs, text_rank)
     return sorted(set(best), key=text_rank.__getitem__), certified
 
 
 def _branch_and_bound(entries: List[list], chosen: List[int], base_cost: int,
-                      best: List[int], best_key: tuple,
+                      best: List[int], costs: List[int],
                       text_rank: List[int]) -> Tuple[List[int], bool]:
-    """Depth-first search of the core for a cover better than `best`, whose
-    (cost, size, sorted text ranks) is `best_key`; `entries[r]` are the
-    holders of the r-th pivot choice.  Returns the best picks and whether
-    the search finished within the node budget.
+    """Depth-first search of the core for a cover better than `best` by
+    (cost, size, sorted text ranks); `entries[r]` are the holders of the
+    r-th pivot choice.  Returns the best picks and whether the search
+    finished within the node budget.
+
+    A cover's text ranks are held as one int, bit r set for rank r.  Of two
+    covers of one size, the one holding the lowest rank they do not share
+    has the smaller sorted rank tuple, so a tie on (cost, size) goes to the
+    leaf when the lowest set bit of `leaf ^ best` lies in the leaf.
 
     The open node lives in locals (its residue of ranks, cost and slack
     under the bound), its ancestors on a stack with their untried holders
@@ -459,7 +463,12 @@ def _branch_and_bound(entries: List[list], chosen: List[int], base_cost: int,
     pushed.
     """
     budget, nodes = BRANCH_NODE_BUDGET, 1
-    bound = best_key[0]
+    bound, best_size = sum(costs[i] for i in best), len(best)
+    chosen_bits = best_bits = 0
+    for i in chosen:
+        chosen_bits |= 1 << text_rank[i]
+    for i in best:
+        best_bits |= 1 << text_rank[i]
     left, cost, slack = (1 << len(entries)) - 1, base_cost, bound - base_cost
     untried = iter(entries[0])
     stack = []
@@ -476,13 +485,16 @@ def _branch_and_bound(entries: List[list], chosen: List[int], base_cost: int,
                 return best, False
             sub = left & keep
             if not sub:
-                # the rank tuple is built only for a leaf that can win
+                # the ranks are gathered only for a leaf that can win
                 size = len(chosen) + len(stack) + 1
-                if c < slack or size <= best_key[1]:
-                    picked = chosen + [frame[3] for frame in stack] + [i]
-                    key = (cost + c, size, tuple(sorted(text_rank[j] for j in picked)))
-                    if key < best_key:
-                        best_key, best, bound, slack = key, picked, cost + c, c
+                if c < slack or size <= best_size:
+                    bits = chosen_bits | 1 << text_rank[i]
+                    for frame in stack:
+                        bits |= 1 << text_rank[frame[3]]
+                    differ = bits ^ best_bits
+                    if c < slack or size < best_size or differ & -differ & bits:
+                        best = chosen + [frame[3] for frame in stack] + [i]
+                        best_size, best_bits, bound, slack = size, bits, cost + c, c
             elif c < slack:
                 held = entries[(sub & -sub).bit_length() - 1]
                 if held[0][0] <= slack - c:
@@ -566,7 +578,7 @@ def minimize(zone: Iterable[int], enc: GridEncoding,
     for cell in cells:
         if not 0 <= cell < enc.n:
             raise ValueError(f"cell {cell} is not encoded")
-    minterms = {enc.value(c) for c in cells}
+    minterms = set(enc.codewords[cells].tolist())
     dontcares = set(enc.dummies()) if allow_dummy_cover else set()
     k = enc.k
 

@@ -53,3 +53,16 @@ def brute_force_min_cost(k, minterms, dontcares):
                 best[nxt] = cost + c
                 heapq.heappush(heap, (cost + c, nxt))
     raise AssertionError("unreachable: the full cover always exists")
+
+
+def sample_zone_by_sort(probs, fraction, rng):
+    """The weighted zone by its definition: one exponential key per cell
+    drawn in id order, all n (-key, cell) pairs sorted, the first
+    ceil(fraction * n) cells kept."""
+    keyed = []
+    for cell, w in enumerate(probs):
+        u = rng.random()
+        key = math.log(u) / w if w > 0.0 else -math.inf
+        keyed.append((-key, cell))
+    keyed.sort()
+    return frozenset(cell for _, cell in keyed[:math.ceil(fraction * len(probs))])

@@ -8,6 +8,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvezones.bench import (ExperimentConfig, SigmoidModel, TrialResult,
                             add_noise, child_seed, gen_probabilities,
@@ -18,6 +20,8 @@ from hvezones.dynamics import UniformChain
 from hvezones.grid import Grid
 from hvezones.optimizers import gray_optimizer
 from hvezones.tokens import TokenSet, minimize
+
+from oracles import sample_zone_by_sort
 
 
 class FixedUniform:
@@ -84,6 +88,21 @@ def test_sample_zone_weighted_frequencies():
         counts[cell] += 1
     for cell, weight in enumerate(probs):
         assert counts[cell] / trials == pytest.approx(weight, abs=0.01)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0),
+                min_size=1, max_size=80),
+       st.integers(0, 2**64), st.data())
+def test_sample_zone_matches_the_sort_based_rule(probs, seed, data):
+    """Zeros, repeated weights and subnormals included, from one cell up to
+    every cell: the same zone as sorting every cell's key, and the rng left
+    in the same state."""
+    n = len(probs)
+    fraction = data.draw(st.sampled_from([1 / n, 1.0]) | st.floats(1e-9, 1.0))
+    fast, slow = random.Random(seed), random.Random(seed)
+    assert sample_zone(probs, fraction, fast) == sample_zone_by_sort(probs, fraction, slow)
+    assert fast.getstate() == slow.getstate()
 
 
 def test_sample_zone_uniform_flag():

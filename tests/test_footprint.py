@@ -1,14 +1,22 @@
 """What a fresh process loads: an alert round imports no part of
-`scipy.sparse`, which only the exact 2^n Markov chains use, and not
-OpenSSL's `_hashlib`, which only `bench.child_seed` uses."""
+`scipy.sparse`, which only the exact 2^n Markov chains use, not OpenSSL's
+`_hashlib`, which only `bench.child_seed` uses, and not `numpy.ma`.  And
+what the wide-grid encoders allocate: no per-cell Python objects."""
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+
+import pytest
 
 import hvezones
+from hvezones import bench
+from hvezones.grid import Grid
+from hvezones.optimizers import hge_baseline, sgo
 
 ROUND = textwrap.dedent("""
     import random
@@ -38,6 +46,7 @@ ROUND = textwrap.dedent("""
             assert hit == (cell in zone), cell
     assert "scipy.sparse" not in sys.modules, "an alert round loaded scipy.sparse"
     assert "_hashlib" not in sys.modules, "an alert round loaded _hashlib"
+    assert "numpy.ma" not in sys.modules, "an alert round loaded numpy.ma"
 
     from hvezones import bench
     assert bench.child_seed(42, "x") == 15081859149362269983
@@ -60,3 +69,26 @@ def test_alert_round_leaves_scipy_sparse_unloaded():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+# tracemalloc peaks of one call on a 225 x 225 grid when each encoding was
+# a tuple of Python ints: 8.7 MiB for SGO, which turned its 65,536 padded
+# probabilities into float lists, and 4.8 MiB for HGE, which listed and
+# set its labels.  Held as arrays they stay well under these bounds.
+ENCODER_PEAK_BOUNDS = {sgo: 8.7 / 2, hge_baseline: 4.8 * 3 / 4}
+
+
+@pytest.mark.parametrize("encoder", list(ENCODER_PEAK_BOUNDS), ids=lambda f: f.__name__)
+def test_wide_grid_encoder_peak_memory(encoder):
+    n = 225 * 225
+    probs = bench.gen_probabilities(n, bench.SigmoidModel(a=0.75, b=10.0),
+                                    random.Random("footprint"))
+    grid = Grid.regular(n, probs)
+    encoder(grid)                 # first-call allocations (caches, imports)
+    tracemalloc.start()
+    try:
+        encoder(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ENCODER_PEAK_BOUNDS[encoder] * 2**20

@@ -115,20 +115,92 @@ def test_encoding_rejects_duplicates_and_bad_width():
 
 
 def test_encoding_builds_its_reverse_map_on_first_lookup():
-    """Construction holds no codeword -> cell map; the first `cell_at` or
-    `dummies` call builds it, and no answer, equality or hash changes."""
+    """Construction builds neither the sorted codewords `cell_at` reads nor
+    the `forward` tuple; the first `cell_at` call sorts, the first read of
+    `forward` builds the tuple, and no answer, equality or hash changes."""
     enc = GridEncoding(n=5, k=3, forward=(4, 0, 7, 2, 1), algorithm="GO")
-    twin = GridEncoding(n=5, k=3, forward=(4, 0, 7, 2, 1), algorithm="GO")
-    assert "_reverse" not in enc.__dict__
+    twin = GridEncoding(n=5, k=3, forward=np.array([4, 0, 7, 2, 1]), algorithm="GO")
+    lazy = {"_lookup", "forward"}
+    assert not lazy & (enc.__dict__.keys() | twin.__dict__.keys())
     identity = (enc == twin, hash(enc) == hash(twin), hash(enc))
     assert identity[:2] == (True, True)
     cells = [1, 4, 3, None, 0, None, None, 2]
     assert enc.dummies() == [3, 5, 6]
+    assert not lazy & enc.__dict__.keys()
     assert [enc.cell_at(v) for v in range(8)] == cells
     assert [twin.cell_at(v) for v in range(8)] == cells
     assert twin.dummies() == [3, 5, 6]
-    assert "_reverse" in enc.__dict__ and "_reverse" in twin.__dict__
+    assert "_lookup" in enc.__dict__ and "_lookup" in twin.__dict__
+    assert "forward" not in enc.__dict__
+    assert enc.forward == twin.forward == (4, 0, 7, 2, 1)
+    assert lazy <= enc.__dict__.keys()
     assert (enc == twin, hash(enc) == hash(twin), hash(enc)) == identity
+
+
+def test_encoding_holds_one_read_only_codeword_array():
+    """A read-only int64 array is shared, anything else is copied into one;
+    the fields cannot be reassigned."""
+    shared = np.array([3, 1, 2], dtype=np.int64)
+    shared.setflags(write=False)
+    assert GridEncoding(n=3, k=2, forward=shared).codewords is shared
+    source = np.array([3, 1, 2], dtype=np.int32)
+    enc = GridEncoding(n=3, k=2, forward=source)
+    source[0] = 0
+    assert enc.codewords.dtype == np.int64 and not enc.codewords.flags.writeable
+    assert enc.forward == (3, 1, 2) and type(enc.value(0)) is int
+    for field in ("n", "k", "codewords", "forward", "algorithm"):
+        with pytest.raises(AttributeError):
+            setattr(enc, field, None)
+        with pytest.raises(AttributeError):
+            delattr(enc, field)
+
+
+def test_encoding_refuses_widths_beyond_int64():
+    """2^k and every codeword fit in int64, so widths stop at 62; a
+    codeword too large for int64 is out of range like any other."""
+    top = (1 << 62) - 1
+    enc = GridEncoding(n=2, k=62, forward=(top, 0))
+    assert (enc.value(0), enc.cell_at(top), enc.cell_at(top - 1)) == (top, 0, None)
+    with pytest.raises(ValueError, match="^codeword width k=63 exceeds 62$"):
+        GridEncoding(n=2, k=63, forward=(0, 1))
+    for bad in (1 << 62, 1 << 63, 1 << 64, -(1 << 64)):
+        with pytest.raises(ValueError, match=f"^codeword {bad} out of range for width 62$"):
+            GridEncoding(n=3, k=62, forward=(0, bad, 1 << 70))
+
+
+@st.composite
+def codeword_maps(draw):
+    """(k, distinct codewords) for any k up to 12, as a tuple, a list or an
+    integer array."""
+    k = draw(st.integers(1, 12))
+    forward = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1,
+                            max_size=min(1 << k, 300), unique=True))
+    kind = draw(st.sampled_from([tuple, list, np.int32, np.int64]))
+    return k, forward, kind(forward) if kind in (tuple, list) else np.array(forward, kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codeword_maps(), st.sampled_from(["GO", "HGE"]))
+def test_array_encoding_matches_dict_reference(drawn, algorithm):
+    """Every lookup agrees with a tuple and a dict built from the same map,
+    and equality and hashing go by (n, k, codewords, algorithm)."""
+    k, forward, given_as = drawn
+    n = len(forward)
+    enc = GridEncoding(n=n, k=k, forward=given_as, algorithm=algorithm)
+    reverse = dict(zip(forward, range(n)))
+    assert [enc.value(c) for c in range(n)] == forward
+    assert all(type(enc.value(c)) is int for c in range(n))
+    probes = list(range(-1, (1 << k) + 1)) + [1 << 70, -(1 << 70)]
+    assert [enc.cell_at(v) for v in probes] == [reverse.get(v) for v in probes]
+    assert enc.dummies() == [v for v in range(1 << k) if v not in reverse]
+    assert enc.forward == tuple(forward)
+    twin = GridEncoding(n=n, k=k, forward=tuple(forward), algorithm=algorithm)
+    assert enc == twin and hash(enc) == hash(twin)
+    assert enc != GridEncoding(n=n, k=k + 1, forward=forward, algorithm=algorithm)
+    assert enc != GridEncoding(n=n, k=k, forward=forward, algorithm="SGO")
+    if n > 1:
+        swapped = [forward[1], forward[0]] + forward[2:]
+        assert enc != GridEncoding(n=n, k=k, forward=swapped, algorithm=algorithm)
 
 
 def test_wide_encoding_never_allocates_its_codeword_space():

@@ -177,16 +177,18 @@ def test_msgo_padding_and_determinism():
 def test_global_order_matches_the_sorted_key(n):
     """The encoders' one global order equals a Python sort by (descending
     probability, ascending id) over the padded cells, ties and zeros
-    included; log-probabilities are math.log's."""
+    included; it comes with the probabilities in that order, and
+    `Assignment` with their math.log values."""
     rng = random.Random(n)
     probs = [rng.choice((0.0, 0.25, 0.5, rng.random())) for _ in range(n)]
     grid = Grid.regular(n, probs)
     padded = probs + [0.0] * ((1 << grid.k) - n)
-    order, logp = _global_order(grid)
+    order, ordered = _global_order(grid)
     assert order.tolist() == sorted(range(len(padded)),
                                     key=lambda c: (-padded[c], c))
-    assert logp == [math.log(padded[c]) if padded[c] > 0.0 else -math.inf
-                    for c in order]
+    assert ordered.tolist() == [padded[c] for c in order]
+    assert Assignment(grid).logp == [math.log(padded[c]) if padded[c] > 0.0
+                                     else -math.inf for c in order]
 
 
 def test_sgo_hand_example():
@@ -293,16 +295,19 @@ def test_depth_limited_pass_then_completion():
 
 # --- oracles for the SGO ring sweep and the array HGE labels ---
 
-def scalar_sgo_forward(grid):
+def scalar_sgo_forward(grid, by_log=False):
     """SGO as depth-one passes: the top cell on codeword 0, then each ring
-    visited by (descending log-probability, codeword) with one depth-one
-    stage per codeword."""
+    visited by (descending probability, codeword) with one depth-one stage
+    per codeword.  `by_log` ranks by math.log of the probability instead,
+    which ties distinct probabilities that share a logarithm."""
     state = Assignment(grid)
+    weight = state.logp if by_log else _global_order(grid)[1].tolist()
     state.claim(0)
     state.go_pass(0, 1)
     for i in range(1, state.k + 1):
+        held = {c: weight[t] for t, c in enumerate(state.claimed)}
         ring = ring_values(0, state.k, i)
-        ring.sort(key=lambda c: (-state.logp_at[c], c))
+        ring.sort(key=lambda c: (-held[c], c))
         for cj in ring:
             state.go_stage(cj, 1)
     return state.to_encoding("SGO").forward
@@ -335,6 +340,27 @@ def test_sgo_matches_depth_one_sweep_oracle(n, kind):
 def test_sgo_matches_oracle_on_drawn_probabilities(probs):
     grid = Grid.regular(len(probs), probs)
     assert sgo(grid).forward == scalar_sgo_forward(grid)
+
+
+def test_sgo_ranks_by_probability_not_its_logarithm():
+    """Eight cells hold the double just above 1e-12 and 23 hold 1e-12;
+    math.log gives both one value, but SGO visits each ring's larger
+    probabilities first, as its docstring says.  (One cell at each value
+    would not do: no search over k <= 9 found a single such pair that
+    moves SGO's claim order.)"""
+    low = 1e-12
+    high = float(np.nextafter(low, 1.0))
+    assert high > low and math.log(high) == math.log(low)
+    grid = Grid.regular(32, [0.9] + [high] * 8 + [low] * 23)
+    enc = sgo(grid)
+    assert enc.forward == scalar_sgo_forward(grid)
+    assert enc.forward != scalar_sgo_forward(grid, by_log=True)
+    # ring 2's high cells 6, 7 and 8 sit on codewords 3, 5 and 9, which are
+    # visited before the low cell on 6; so ring 3 claims 25, a neighbour of
+    # 9, before 14 and 22, neighbours of 6 (ranking by logarithm visits
+    # ring 2 by codeword and claims 14 and 22 first)
+    assert enc.forward[6:9] == (3, 5, 9)
+    assert enc.forward[19:24] == (13, 21, 25, 14, 22)
 
 
 def quad_leaf(x, y, levels):

@@ -539,6 +539,48 @@ def test_exact_cover_matches_min_pivot_search(budget, cover_instances, monkeypat
         assert not exact_cover(PrimeTable.build(*cover_instances[0]))[1]
 
 
+def test_exact_cover_breaks_equal_cover_ties_past_the_first_rank(monkeypatch):
+    """A cyclic core of ten one-star primes at k = 4, none essential.  Its
+    minimum covers cost 15 in 5 patterns, and the least by sorted pattern
+    text shares its first two patterns with the runner-up.  On the way the
+    search replaces its greedy incumbent by a leaf of equal cost and size
+    that wins at its fourth pattern."""
+    k, minterms = 4, {1, 2, 3, 8, 9, 10, 13, 14, 15}
+    primes = prime_implicants(k, minterms, set())
+    table = PrimeTable.build(k, primes, minterms)
+    assert len(primes) == 10 and set(table.costs) == {3}
+    covers = {size: [tuple(sorted(table.patterns[i] for i in combo))
+                     for combo in itertools.combinations(range(10), size)
+                     if _union(table.bits[i] for i in combo) == table.full]
+              for size in (4, 5)}
+    ties = sorted(covers[5])
+    assert not covers[4] and len(ties) >= 4 and ties[0][:2] == ties[1][:2]
+
+    # the incumbent after each node budget, until the search certifies
+    seen = []
+    for budget in itertools.count(1):
+        monkeypatch.setattr(tokens, "BRANCH_NODE_BUDGET", budget)
+        cover, certified = exact_cover(table)
+        got = tuple(table.patterns[i] for i in cover)
+        if not seen or seen[-1] != got:
+            seen.append(got)
+        if certified:
+            break
+    assert got == ties[0]
+    assert (([table.primes[i] for i in cover], certified)
+            == min_pivot_exact_cover(k, primes, minterms))
+    tie_wins = [next(r for r, (a, b) in enumerate(zip(new, old)) if a != b)
+                for old, new in zip(seen, seen[1:]) if len(old) == len(new)]
+    assert tie_wins == [3]
+
+
+def _union(columns):
+    out = 0
+    for bits in columns:
+        out |= bits
+    return out
+
+
 def minimal_rows_after(columns, active=None):
     """`_minimal_rows` on a hand-built table: bit j of `columns[i]` is
     minterm j held by prime i; every prime is live unless `active` says
