@@ -97,8 +97,10 @@ def sample_zone(probs: Sequence[float], fraction: float, rng: random.Random,
     alternative sampling law.
     """
     n = len(probs)
-    if not 0 < fraction <= 1 or n < 1:
-        raise ValueError(f"fraction {fraction} yields no cells")
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction {fraction} outside (0, 1]")
+    if n < 1:
+        raise ValueError("no cells to sample")
     count = math.ceil(fraction * n)
     if uniform:
         return frozenset(rng.sample(range(n), count))

@@ -9,13 +9,18 @@ quantity that drives pairing work at query time (2 per non-star plus 1).
 A cover that may use at most 4096 codewords (minterms plus don't-cares),
 at any width k, is minimized exactly: prime implicants, then a
 minimum-cost cover search with essential and dominance reductions and
-branch-and-bound on the minterm with the fewest holders (a deterministic
-node budget keeps degenerate dense cores from stalling; exhausting it falls
-back to the greedy incumbent and clears the `exact` flag).  Above 4096
-allowed codewords a deterministic greedy set cover over prime cubes grown
-from each minterm is used instead; those covers are flagged approximate as
-well.  The greedy pick is lazy (a heap of possibly stale gains, rechecked
-when popped) and chooses exactly what a full rescan per pick would.
+branch-and-bound on the minterm with the fewest holders.  A deterministic
+node budget keeps degenerate dense cores from stalling; a search that
+exhausts it keeps its best cover so far, clears the `exact` flag, and hands
+the cover to a one-out descent.  Each move of the descent takes one
+pattern out, re-covers what only it covered by the cheapest primes per
+minterm, and drops what that made redundant; it keeps a move only when
+the cover gets cheaper, so the descent only ever lowers the cover's cost,
+and the cover stays flagged inexact.  Above 4096 allowed codewords a
+deterministic greedy set cover over prime cubes grown from each minterm is
+used instead; those covers are flagged approximate as well.  The greedy
+pick is lazy (a heap of possibly stale gains, rechecked when popped) and
+chooses exactly what a full rescan per pick would.
 
 Two generators give the same prime implicants; `is_dense` picks one from
 the input, 2^k against the number of allowed codewords:
@@ -62,6 +67,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, IO, Iterable, List, Sequence,
                     Set, Tuple)
 
@@ -116,7 +122,8 @@ class TokenSet:
     patterns: Tuple[str, ...]
     covered: FrozenSet[int]     # codeword values the patterns expand to
     cost: int                   # total non-star bits
-    exact: bool                 # False for greedy / budget-exhausted covers
+    exact: bool                 # False for greedy covers and for budget-exhausted
+                                # ones, which the one-out descent may cheapen
 
 
 def pairing_cost(ts: TokenSet) -> int:
@@ -240,6 +247,12 @@ class PrimeTable:
         return cls(primes, [cost for cost, _, _ in keyed], patterns, rank,
                    _cover_bits(primes, minterms), (1 << len(minterms)) - 1)
 
+    @cached_property
+    def holders(self) -> List[int]:
+        """Per minterm, the bitmask of the primes covering it, built on first
+        read: the cover search and the descent after it share one copy."""
+        return _holder_masks((1 << len(self.primes)) - 1, self.bits, self.full)
+
 
 def _lazy_picks(candidates: Iterable[int], cover_bits: List[int], full: int,
                 key: Callable[[int, int], tuple]) -> Tuple[List[int], int]:
@@ -361,7 +374,7 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
     # order, so a lower index is never costlier.  The holder masks only lose
     # primes and minterms as the reductions go, so they are built once and
     # read through the live primes.
-    holders = _holder_masks(active, cover_bits, remaining)
+    holders = table.holders
     changed = True
     while changed and remaining:
         changed = False
@@ -503,6 +516,103 @@ def _branch_and_bound(entries: List[list], chosen: List[int], base_cost: int,
                     break
 
 
+def _one_out_descent(table: PrimeTable, cover: List[int]) -> List[int]:
+    """A cover no costlier than `cover`, by one-out moves repeated until a
+    pass keeps none; as indices in text order.
+
+    A pass tries each pattern of the cover once, costliest first, ties by
+    text rank.  A move takes the pattern out and re-covers the minterms only
+    it covered by a ratio greedy over the other primes holding them: least
+    cost per newly covered minterm, then cost, then text rank (as floats the
+    ratios order exactly, see `_issue_order`).  Then, costliest first, it
+    drops each pattern overlapping the new picks whose minterms the rest
+    now cover.  It is kept only when (non-star bits, patterns) falls and
+    2 * non-star + patterns does not rise, so the descent ends and never
+    raises `pairing_cost`.
+
+    Per minterm, the count of cover patterns holding it is kept across
+    moves, and `single` marks the minterms held exactly once: those a
+    pattern alone covers, and the ones that keep it from being redundant.
+    A rejected move reads only the counts of its pattern's, its picks' and
+    their neighbours' minterms, so it is not tried again until a kept move
+    changes one of those counts: until then it would be rejected again.
+    """
+    costs, bits, rank = table.costs, table.bits, table.rank
+    holders = table.holders
+    held = [0] * len(holders)
+    single = 0
+    spans: Dict[int, Tuple[int, ...]] = {}
+
+    def count(picks: Iterable[int], step: int) -> None:
+        nonlocal single
+        for i in picks:
+            if i not in spans:
+                spans[i] = bit_positions(bits[i])
+            for pos in spans[i]:
+                held[pos] += step
+                if held[pos] == 1:
+                    single |= 1 << pos
+                else:
+                    single &= ~(1 << pos)
+
+    count(cover, 1)
+    kept = 0                        # bit i set while prime i is in the cover
+    for i in cover:
+        kept |= 1 << i
+    by_cost = lambda i: (-costs[i], rank[i])
+    key = lambda gain, i: (costs[i] / gain, costs[i], rank[i])
+    settled: Dict[int, int] = {}    # rejected move -> the minterms it read
+    moved = True
+    while moved:
+        moved = False
+        for out in sorted(bit_positions(kept), key=by_cost):
+            if not kept >> out & 1 or out in settled:
+                continue
+            alone = bits[out] & single
+            reach = 0
+            for pos in bit_positions(alone):
+                reach |= holders[pos]
+            picks, left = _lazy_picks(bit_positions(reach & ~(1 << out)), bits, alone, key)
+            if left:
+                settled[out] = bits[out]
+                continue
+            count([out], -1)
+            count(picks, 1)
+            trial = kept & ~(1 << out)
+            grown = 0
+            for i in picks:
+                trial |= 1 << i
+                grown |= bits[i]
+            touched = 0
+            for pos in bit_positions(grown):
+                touched |= holders[pos]
+            near = sorted(bit_positions(touched & trial), key=by_cost)
+            dropped = []
+            for i in near:
+                if not bits[i] & single:
+                    dropped.append(i)
+                    count([i], -1)
+                    trial &= ~(1 << i)
+            cost_delta = (sum(costs[i] for i in picks) - sum(costs[i] for i in dropped)
+                          - costs[out])
+            size_delta = len(picks) - len(dropped) - 1
+            if (cost_delta, size_delta) < (0, 0) and 2 * cost_delta + size_delta <= 0:
+                kept, moved = trial, True
+                changed = bits[out] | grown
+                for i in dropped:
+                    changed |= bits[i]
+                settled = {i: read for i, read in settled.items() if not read & changed}
+            else:
+                count(dropped, 1)
+                count(picks, -1)
+                count([out], 1)
+                read = bits[out] | grown
+                for i in near:
+                    read |= bits[i]
+                settled[out] = read
+    return sorted(bit_positions(kept), key=rank.__getitem__)
+
+
 # --- greedy path for more than EXACT_SPACE_LIMIT allowed codewords ---
 
 def _grow_prime_cube(minterm: int, k: int, allowed: Set[int]) -> Implicant:
@@ -589,6 +699,8 @@ def minimize(zone: Iterable[int], enc: GridEncoding,
     elif len(allowed) <= EXACT_SPACE_LIMIT:
         table = PrimeTable.build(k, prime_implicants(k, minterms, dontcares), minterms)
         cover, certified = exact_cover(table)
+        if not certified:
+            cover = _one_out_descent(table, cover)
     else:
         cubes = {_grow_prime_cube(m, k, allowed) for m in minterms}
         table = PrimeTable.build(k, cubes, minterms)

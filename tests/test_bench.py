@@ -72,10 +72,12 @@ def test_sample_zone_full_and_degenerate():
     probs = [0.0, 1.0, 0.0, 0.0]
     assert sample_zone(probs, 1.0, random.Random(0)) == frozenset({0, 1, 2, 3})
     assert sample_zone(probs, 0.25, random.Random(0)) == frozenset({1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^fraction 0.0 outside \(0, 1\]$"):
         sample_zone(probs, 0.0, random.Random(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^fraction 1.5 outside \(0, 1\]$"):
         sample_zone(probs, 1.5, random.Random(0))
+    with pytest.raises(ValueError, match="^no cells to sample$"):
+        sample_zone([], 0.5, random.Random(0))
 
 
 def test_sample_zone_weighted_frequencies():

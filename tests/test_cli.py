@@ -109,7 +109,7 @@ def test_tokens_zero_fraction_names_the_fraction(tmp_path, capsys):
                              "--fraction", "0")
     assert code == 2
     assert out == ""
-    assert err == "error: fraction 0.0 yields no cells\n"
+    assert err == "error: fraction 0.0 outside (0, 1]\n"
 
 
 @pytest.mark.parametrize("fraction,shown", [("inf", "inf"), ("1e400", "inf"),
@@ -123,7 +123,21 @@ def test_tokens_non_finite_fraction_exits_with_one_line(tmp_path, capsys,
                              "--fraction", fraction)
     assert code == 2
     assert out == ""
-    assert err == f"error: fraction {shown} yields no cells\n"
+    assert err == f"error: fraction {shown} outside (0, 1]\n"
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "-0.1"])
+def test_tokens_fraction_beyond_the_range_names_the_range(tmp_path, capsys, fraction):
+    """A finite fraction outside (0, 1] would yield cells, or none; either
+    way the message names the range it must lie in."""
+    enc_path = tmp_path / "enc.tsv"
+    run_cli(capsys, "encode", "--n", "16", "--algorithm", "GO",
+            "--out", str(enc_path))
+    code, out, err = run_cli(capsys, "tokens", "--encoding", str(enc_path),
+                             "--fraction", fraction)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: fraction {fraction} outside (0, 1]\n"
 
 
 @pytest.mark.parametrize("cells,reason", [

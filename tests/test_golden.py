@@ -126,7 +126,7 @@ MINIMIZE_DIGESTS = {
     "MSGO/256/6/0.1/False": "2d451e245b0d5eac86cbff1e3ee5d0dbbea1b56abbdd431f426d3b35c9553be1",
     "HGE/256/6/0.1/False": "48df98506f1e6c13e92f10917a302f0428043cdc853d52d5facab53345ce31e9",
     "MSGO/256/6/0.6/False": "55f470747b171928a130bb52c95e06074ef4466bed6b50f7f076835ca841eb62",
-    "HGE/256/6/0.6/False": "18eaf89db6c6946caba2e70bf7e0be4b2d6b044b750c45bc1f150621ba17a36a",
+    "HGE/256/6/0.6/False": "f10f2b81596eea77a7382924be59a36cf8f7f0c2bd03fb8486053f1abe586d08",
     "SGO/5000/7/0.05/True": "cf9bda12f642d75aa9ac60381c6416dfcf30c482ce5975154a6d15249b129736",
     "SGO/5000/7/0.05/False": "8e7784479f9aa3c128f322660beb82f60e06f3f5f7bac9d09697b98917c3d9c7",
     "HGE/5000/7/0.05/True": "7b10d8d6006269626eed39a751945c15e6eb82ac601951a8fe9a6848c2c32954",
@@ -135,7 +135,7 @@ MINIMIZE_DIGESTS = {
     "SGO/9000/7/0.15/True": "3c1213e230734519e66b91d5bb09ab3b085690de0defb53bdaff87a2435c718e",
     "SGO/9000/8/0.02/True": "a6de1ef7e32ab57201e8d21c03bb9d2d3017fd6a63041870494d68f3a6117bd8",
     "HGE/5000/7/0.05/False": "04a7d1a69aa1e61e089738dfc6fe4218675de1d3cced3b930333507c485021d2",
-    "SGO/5000/7/0.3/False": "6d1c74f4659e637b07e2f064112cd5b5415945ba223ac31301bc0642fa63e504",
+    "SGO/5000/7/0.3/False": "347d0737ddc11a912026aa64886b489a166fb153adec5c9ece1a4d36bde6dad0",
     "HGE/5000/7/0.3/False": "be00049f03e5dd284b78034f107956744c39fa7cb88088c7cd0504e72f9d9889",
 }
 
@@ -148,7 +148,7 @@ ISSUE_ORDER_DIGESTS = {
     "MSGO/256/6/0.1/False": "1e33c1f5efd415649571dcb6cd81a1d79e8c62dabfe81690e58feec7e72e6973",
     "HGE/256/6/0.1/False": "a60d3e6a161970b7827ba1708a2a7d9e8931d641f58e0abe85d5efacaa45e40f",
     "MSGO/256/6/0.6/False": "0e3fb94cdc7bed4b34f4c85bfb0cfbe203e85df270b6e0117da8bd44f1e9dafb",
-    "HGE/256/6/0.6/False": "14f26f606348ac823e68005e1558aea7886ee929bd721164acfd2508ad65f2aa",
+    "HGE/256/6/0.6/False": "2d2049e3e4f544e60d0ee18ed3d664daf1a127646154edd30fa69609545c5074",
     "SGO/5000/7/0.05/True": "b63310036cf988a370d6a8a75adc10c2683f0d3e03adba80d88f5ab996ab9f8d",
     "SGO/5000/7/0.05/False": "e33530eb73dac6fca42d16ef69dede50cdfb5ae6e52d1c859a8ea50d5a0fbcd0",
     "HGE/5000/7/0.05/True": "8a7013a84603e40cf427d33aa15ca609c426164ad970f01e27a02b518c4d3c50",
@@ -157,7 +157,7 @@ ISSUE_ORDER_DIGESTS = {
     "SGO/9000/7/0.15/True": "46c94bfa50fdefc648d1d341bced384beb15fce513e1d208aaa78bdf11bc6b36",
     "SGO/9000/8/0.02/True": "4ee05d98e1890f7efc06e03765c84b77e5dc828321f5f6471599a525cce83b15",
     "HGE/5000/7/0.05/False": "2fa44bb0960432e393531a5025608d1d025b6f63d787116f92c73fcc1615c5f5",
-    "SGO/5000/7/0.3/False": "5b311b655df9b739b3696e8eefb81931bebed2b3b4dd7dcf8bf0e0af62c57fc4",
+    "SGO/5000/7/0.3/False": "fdc1c96c6e9a47e5b410ece4f8efbed6851a6795cf4c0f8df055953bf7c4ffb0",
     "HGE/5000/7/0.3/False": "42fc33530ce8afb831a8a9647be52d92dc13a454faffbb24ffebac6173517de1",
 }
 
@@ -353,13 +353,13 @@ def test_wire_digest():
 # because it carries real measurements
 CSV_DIGESTS = {
     "benchmark --n 256 --algorithm GO --trials 3 --seed 42":
-        "968ab88eacd0bb9318073080cc01a0d63c47eb4787627aefed9ee09fb862706b",
+        "ff089576a12cc61df6b745926110ff6cd23e5311e531b09cdcf5ae92e17ba6c0",
     "benchmark --n 1024 --algorithm MSGO --depth 4 --trials 2 --seed 42 "
     "--fractions 0.3,0.6":
-        "1606ec2eea023eb65899e8c55ed9e9fb80abed7d4c8374e1ef19675eebe61707",
+        "96e934bfc68a87140f37e0478562f8ca7110c3ca14cf597b4dbebb1d8712293b",
     "benchmark --n 200 --algorithm RANDOM --trials 3 --seed 7 --noise 0.2 "
     "--uniform-zones --dummy-cover":
-        "ac2a5714e0a0a66a1203fd7afdd695abe73e4c019842428df583db00d7f7290d",
+        "4b47a0a66b1b9d63e096f8984f8f7f1a490dd3de2bd347128688b6a1b3eb8d37",
     "depth-sweep --n 100 --trials 3 --seed 42":
         "315cfe6859e74daf2a63343ec35ed33c25af32b596283b3c5a02cabc65c69c4b",
     "dynamics --n 64 --trials 2 --seed 5 --algorithm SGO --dyn-zones 10":

@@ -13,7 +13,7 @@ from hvezones import bench, tokens
 from hvezones.gray import bit_positions
 from hvezones.grid import Grid, GridEncoding
 from hvezones.optimizers import gray_optimizer, hge_baseline, msgo
-from hvezones.tokens import (PrimeTable, _cover_bits, _greedy_pick,
+from hvezones.tokens import (PrimeTable, TokenSet, _cover_bits, _greedy_pick,
                              _grow_prime_cube, _holder_masks, _issue_order,
                              _minimal_rows, _prune_redundant, _qm_primes,
                              _truth_table_primes, exact_cover, expand_implicant,
@@ -572,6 +572,115 @@ def test_exact_cover_breaks_equal_cover_ties_past_the_first_rank(monkeypatch):
     tie_wins = [next(r for r, (a, b) in enumerate(zip(new, old)) if a != b)
                 for old, new in zip(seen, seen[1:]) if len(old) == len(new)]
     assert tie_wins == [3]
+
+
+# --- one-out descent on budget-exhausted covers ---
+
+def rebuild_one_out_descent(table, cover):
+    """Reference descent: every pass tries every pattern of the cover, and
+    each move rebuilds the union of the other patterns, rescans all primes
+    for the ratio greedy with exact fractions, and tests redundancy against
+    the union of the rest."""
+    costs, bits, rank = table.costs, table.bits, table.rank
+    by_cost = lambda i: (-costs[i], rank[i])
+    kept = list(cover)
+    moved = True
+    while moved:
+        moved = False
+        for out in sorted(kept, key=by_cost):
+            if out not in kept:
+                continue
+            others = [i for i in kept if i != out]
+            left = bits[out] & ~_union(bits[i] for i in others)
+            picks = []
+            while left:
+                ratios = [(Fraction(costs[j], (bits[j] & left).bit_count()), costs[j],
+                           rank[j], j) for j in range(len(costs))
+                          if j != out and bits[j] & left]
+                if not ratios:
+                    break
+                picks.append(min(ratios)[-1])
+                left &= ~bits[picks[-1]]
+            if left:
+                continue
+            trial = others + picks
+            grown = _union(bits[i] for i in picks)
+            for i in sorted((i for i in trial if bits[i] & grown), key=by_cost):
+                if not bits[i] & ~_union(bits[j] for j in trial if j != i):
+                    trial.remove(i)
+            old = (sum(costs[i] for i in kept), len(kept))
+            new = (sum(costs[i] for i in trial), len(trial))
+            if new < old and 2 * new[0] + new[1] <= 2 * old[0] + old[1]:
+                kept, moved = trial, True
+    return sorted(kept, key=rank.__getitem__)
+
+
+def instance_encoding(k, primes, minterms):
+    """An encoding and zone that `minimize` turns into this instance: the
+    codewords the primes reach beyond the minterms are the dummies, the
+    rest are cells, and the zone's cells sit on the minterms."""
+    dontcares = set().union(*map(expand_implicant, primes)) - minterms
+    forward = tuple(v for v in range(1 << k) if v not in dontcares)
+    zone = [c for c, v in enumerate(forward) if v in minterms]
+    return GridEncoding(n=len(forward), k=k, forward=forward, algorithm="ID"), zone
+
+
+@pytest.mark.parametrize("budget", [50, 500])
+def test_minimize_polishes_budget_exhausted_covers(budget, cover_instances, monkeypatch):
+    """Where the search runs out of nodes, `minimize` returns the descent's
+    cover: it reaches every minterm and no other cell, costs no more than
+    the search's cover in non-star bits, patterns or pairings, is what the
+    reference descent gives, and comes back the same on a second call.
+    Certified covers come back as the search returned them."""
+    monkeypatch.setattr(tokens, "BRANCH_NODE_BUDGET", budget)
+    searched = []
+
+    def recorded(table):
+        searched.append((table, *exact_cover(table)))
+        return searched[-1][1:]
+
+    monkeypatch.setattr(tokens, "exact_cover", recorded)
+    polished = fell = 0
+    for k, primes, minterms in cover_instances:
+        enc, zone = instance_encoding(k, primes, minterms)
+        searched.clear()
+        ts = minimize(zone, enc)
+        assert minimize(zone, enc) == ts
+        if not searched:                # the full space: one all-star cube
+            continue
+        table, cover, certified = searched[0]
+        assert ts.exact == certified
+        cells = set(enc.codewords.tolist())
+        assert ts.covered & cells == minterms
+        if certified:
+            assert sorted(ts.patterns) == [table.patterns[i] for i in cover]
+            continue
+        want = rebuild_one_out_descent(table, cover)
+        assert sorted(ts.patterns) == [table.patterns[i] for i in want]
+        before = TokenSet(tuple(table.patterns[i] for i in cover), frozenset(),
+                          sum(table.costs[i] for i in cover), False)
+        assert ts.cost <= before.cost
+        assert len(ts.patterns) <= len(before.patterns)
+        assert pairing_cost(ts) <= pairing_cost(before)
+        polished += 1
+        fell += pairing_cost(ts) < pairing_cost(before)
+    assert polished > 20 and fell > 15
+
+
+def test_one_out_move_beats_the_greedy_cover(monkeypatch):
+    """The six minterms 000, 001, 010, 101, 110, 111 form a cyclic core of
+    six two-minterm primes.  Greedy takes four of them; taking *01 out and
+    re-covering 001 by 00* leaves 0*0 redundant, which reaches the minimum
+    of three patterns and six non-star bits in one move."""
+    k, minterms = 3, {0, 1, 2, 5, 6, 7}
+    monkeypatch.setattr(tokens, "BRANCH_NODE_BUDGET", 1)
+    table = PrimeTable.build(k, prime_implicants(k, minterms, set()), minterms)
+    cover, certified = exact_cover(table)
+    assert not certified
+    assert [table.patterns[i] for i in cover] == ["*01", "*10", "0*0", "1*1"]
+    ts = minimize(minterms, identity_encoding(8, k))
+    assert sorted(ts.patterns) == ["*10", "00*", "1*1"]
+    assert (ts.cost, ts.exact) == (brute_force_min_cost(k, minterms, set()), False)
 
 
 def _union(columns):
