@@ -36,7 +36,8 @@ from .grid import Grid, GridEncoding, min_width
 from .hve import MessageSpace, encrypt, gen_token, query, setup
 from .optimizers import (Assignment, gray_optimizer, hge_baseline, msgo,
                          random_baseline, sgo)
-from .tokens import TokenSet, minimize, pairing_cost
+from .tokens import (TokenSet, expand_implicant, minimize, pairing_cost,
+                     pattern_implicant)
 
 ALGORITHMS = ("GO", "MSGO", "SGO", "HGE", "RANDOM")
 
@@ -238,15 +239,16 @@ def spot_check(cfg: ExperimentConfig, trial: int, grid: Grid,
                enc: GridEncoding, zone: FrozenSet[int], ts: TokenSet) -> None:
     """Per-trial verification: exact cover and an end-to-end match check.
 
-    Expands the token set against the zone's codewords (dummy coverage
-    permitted) and runs a few encrypted cells through real tokens: cells
-    in the zone must recover the message, cells outside must not match
-    any token, and every query must report 2 * non-star + 1 pairings.
+    Expands the patterns HVE receives against the zone's codewords (dummy
+    coverage permitted) and runs a few encrypted cells through real tokens:
+    cells in the zone must recover the message, cells outside must not
+    match any token, and every query must report 2 * non-star + 1 pairings.
     """
     zone_values = {enc.value(c) for c in zone}
-    if not zone_values <= ts.covered:
+    covered = {v for p in ts.patterns for v in expand_implicant(pattern_implicant(p))}
+    if not zone_values <= covered:
         raise AssertionError("token set fails to cover the zone")
-    extras = ts.covered - zone_values
+    extras = covered - zone_values
     if extras and not cfg.dummy_cover:
         raise AssertionError("exact cover requested but extra codewords covered")
     for extra in extras:

@@ -5,9 +5,9 @@ id: the centers `x` and `y` in the unit square and the alert
 probabilities `p`.  An encoding is an injection of cell ids into k-bit
 codewords, k <= 62, held the same way: one read-only int64 array of
 codewords indexed by cell id.  Reverse lookups search a sorted copy of
-that array, built on the first lookup, and the `forward` tuple is built
-on its first read.  When n is not a power of two the 2^k - n unassigned
-codewords are dummies, usable as don't-cares during token minimization.
+that array, built on the first lookup.  When n is not a power of two the
+2^k - n unassigned codewords are dummies, usable as don't-cares during
+token minimization.
 """
 
 from __future__ import annotations
@@ -142,13 +142,9 @@ class GridEncoding:
         return hash((self.n, self.k, self.codewords.tobytes(), self.algorithm))
 
     def __repr__(self):
-        return (f"GridEncoding(n={self.n}, k={self.k}, forward={self.forward!r}, "
+        return (f"GridEncoding(n={self.n}, k={self.k}, "
+                f"forward={tuple(self.codewords.tolist())!r}, "
                 f"algorithm={self.algorithm!r})")
-
-    @cached_property
-    def forward(self) -> Tuple[int, ...]:
-        """Cell id -> codeword value as a tuple, built on the first read."""
-        return tuple(self.codewords.tolist())
 
     @cached_property
     def _lookup(self) -> Tuple[np.ndarray, np.ndarray]:

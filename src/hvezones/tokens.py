@@ -9,18 +9,20 @@ quantity that drives pairing work at query time (2 per non-star plus 1).
 A cover that may use at most 4096 codewords (minterms plus don't-cares),
 at any width k, is minimized exactly: prime implicants, then a
 minimum-cost cover search with essential and dominance reductions and
-branch-and-bound on the minterm with the fewest holders.  A deterministic
-node budget keeps degenerate dense cores from stalling; a search that
-exhausts it keeps its best cover so far, clears the `exact` flag, and hands
-the cover to a one-out descent.  Each move of the descent takes one
-pattern out, re-covers what only it covered by the cheapest primes per
-minterm, and drops what that made redundant; it keeps a move only when
-the cover gets cheaper, so the descent only ever lowers the cover's cost,
-and the cover stays flagged inexact.  Above 4096 allowed codewords a
-deterministic greedy set cover over prime cubes grown from each minterm is
-used instead; those covers are flagged approximate as well.  The greedy
-pick is lazy (a heap of possibly stale gains, rechecked when popped) and
-chooses exactly what a full rescan per pick would.
+branch-and-bound on the minterm with the fewest holders, from a greedy
+incumbent on the cyclic core.  A deterministic node budget keeps
+degenerate dense cores from stalling; a search that exhausts it keeps its
+best cover so far and clears the `exact` flag.  Above 4096 allowed
+codewords the same greedy step, run over prime cubes grown from each
+minterm, builds the whole cover, which is flagged approximate as well.
+The greedy step is lazy (a heap of possibly stale gains, rechecked when
+popped) and chooses exactly what a full rescan per pick would.
+
+Every uncertified cover, from either path, is finished by a one-out
+descent.  Each move takes one pattern out, re-covers what only it covered
+by the cheapest primes per minterm, and drops what that made redundant;
+it keeps a move only when the cover gets cheaper, so the descent only
+ever lowers the cover's cost, and the cover stays flagged inexact.
 
 Two generators give the same prime implicants; `is_dense` picks one from
 the input, 2^k against the number of allowed codewords:
@@ -52,12 +54,11 @@ cost or pairing_cost, only what zone users pay.
 Each `minimize` call derives the candidates' columns once, in one
 `PrimeTable`: every implicant in (cost, pattern) order with its cost,
 pattern text, text rank and minterm bitmask.  The cover search, the
-greedy cover, the issue order and the `TokenSet` read it by index.  Ties
-are broken by the implicants, never by where they sit in the table:
-- the exact path's greedy incumbent takes most new minterms, then the
-  cheapest, then the smaller text (which within one cost is table order);
-- the greedy path takes most new minterms, then the cheapest, then the
-  smaller (mask, value);
+greedy step, the descent, the issue order and the `TokenSet` read it by
+index.  Ties are broken by the implicants, never by where they sit in the
+table:
+- the greedy step takes most new minterms, then the cheapest, then the
+  smaller text (which within one cost is table order);
 - the issue order breaks equal ratios by text, and issues the patterns
   that add nothing last, in text order.
 """
@@ -68,8 +69,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Callable, Dict, FrozenSet, IO, Iterable, List, Sequence,
-                    Set, Tuple)
+from typing import Callable, Dict, IO, Iterable, List, Sequence, Set, Tuple
 
 from .gray import bit_positions
 from .grid import GridEncoding
@@ -120,7 +120,6 @@ class TokenSet:
     patterns in issue order."""
 
     patterns: Tuple[str, ...]
-    covered: FrozenSet[int]     # codeword values the patterns expand to
     cost: int                   # total non-star bits
     exact: bool                 # False for greedy covers and for budget-exhausted
                                 # ones, which the one-out descent may cheapen
@@ -286,17 +285,6 @@ def _lazy_picks(candidates: Iterable[int], cover_bits: List[int], full: int,
     return chosen, left
 
 
-def _greedy_pick(candidates: Iterable[int], cover_bits: List[int],
-                 costs: List[int], full: int, tie: Sequence) -> List[int]:
-    """Deterministic greedy cover: most new minterms, then cheapest, then
-    least `tie` (unique per index)."""
-    chosen, left = _lazy_picks(candidates, cover_bits, full,
-                               lambda gain, idx: (-gain, costs[idx], tie[idx]))
-    if left:
-        raise ValueError("cover is infeasible")
-    return chosen
-
-
 def _prune_redundant(chosen: List[int], cover_bits: List[int], costs: List[int],
                      full: int, tie: Sequence) -> List[int]:
     """Drop patterns whose removal leaves the zone covered, costliest first.
@@ -318,6 +306,18 @@ def _prune_redundant(chosen: List[int], cover_bits: List[int], costs: List[int],
             for pos in spans[idx]:
                 holders[pos] -= 1
     return [i for i in chosen if i not in dropped]
+
+
+def greedy_cover(table: PrimeTable, candidates: Iterable[int], full: int) -> List[int]:
+    """Greedy cover of the minterms of `full` by the candidate primes: most
+    new minterms, then cheapest, then least text rank; then redundant picks
+    are pruned, costliest first."""
+    costs, rank = table.costs, table.rank
+    chosen, left = _lazy_picks(candidates, table.bits, full,
+                               lambda gain, i: (-gain, costs[i], rank[i]))
+    if left:
+        raise ValueError("cover is infeasible")
+    return _prune_redundant(chosen, table.bits, costs, full, rank)
 
 
 def _holder_masks(active: int, cover_bits: List[int], remaining: int) -> List[int]:
@@ -428,9 +428,7 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
     # does without comparing strings; within one cost, text rank is index
     # order
     base_cost = sum(costs[i] for i in chosen)
-    greedy = _greedy_pick(bit_positions(active), cover_bits, costs, remaining, text_rank)
-    greedy = _prune_redundant(greedy, cover_bits, costs, remaining, text_rank)
-    best = chosen + greedy
+    best = chosen + greedy_cover(table, bit_positions(active), remaining)
 
     # Branch on the minterm with the fewest holders (lowest position on
     # ties).  That key is fixed for the whole search, so the minterms are
@@ -632,16 +630,6 @@ def _grow_prime_cube(minterm: int, k: int, allowed: Set[int]) -> Implicant:
     return mask, value
 
 
-def greedy_cover(table: PrimeTable) -> List[int]:
-    """Greedy cover by the table's cubes, as indices in text order: most new
-    minterms, then cheapest, then the least (mask, value); then redundant
-    cubes are pruned, costliest first."""
-    chosen = _greedy_pick(range(len(table.primes)), table.bits, table.costs,
-                          table.full, table.primes)
-    chosen = _prune_redundant(chosen, table.bits, table.costs, table.full, table.rank)
-    return sorted(chosen, key=table.rank.__getitem__)
-
-
 # --- issue order ---
 
 def _issue_order(table: PrimeTable, cover: List[int]) -> List[str]:
@@ -699,16 +687,15 @@ def minimize(zone: Iterable[int], enc: GridEncoding,
     elif len(allowed) <= EXACT_SPACE_LIMIT:
         table = PrimeTable.build(k, prime_implicants(k, minterms, dontcares), minterms)
         cover, certified = exact_cover(table)
-        if not certified:
-            cover = _one_out_descent(table, cover)
     else:
         cubes = {_grow_prime_cube(m, k, allowed) for m in minterms}
         table = PrimeTable.build(k, cubes, minterms)
-        cover, certified = greedy_cover(table), False
+        cover, certified = greedy_cover(table, range(len(cubes)), table.full), False
+    if not certified:
+        cover = _one_out_descent(table, cover)
 
     return TokenSet(
         patterns=tuple(_issue_order(table, cover)),
-        covered=frozenset(v for i in cover for v in expand_implicant(table.primes[i])),
         cost=sum(table.costs[i] for i in cover), exact=certified)
 
 

@@ -1,10 +1,10 @@
-"""Brute-force oracles shared by the test modules."""
+"""Brute-force oracles and cover checks shared by the test modules."""
 
 import heapq
 import math
 
 from hvezones.gray import cycle_node_values, ring_values
-from hvezones.tokens import expand_implicant
+from hvezones.tokens import expand_implicant, pattern_implicant
 
 
 def stage_objective(prob_at, k, seed_index, distance):
@@ -17,6 +17,11 @@ def stage_objective(prob_at, k, seed_index, distance):
             prod *= prob_at.get(node, 1.0)
         total += prod
     return total
+
+
+def pattern_codewords(patterns):
+    """Every codeword the patterns match, expanded from their text."""
+    return {v for p in patterns for v in expand_implicant(pattern_implicant(p))}
 
 
 def brute_force_min_cost(k, minterms, dontcares):

@@ -1,7 +1,7 @@
 """Byte-identity gate for the encoders, the minimizer, HVE queries, wire
 blobs and the experiment runners' CSV.
 
-Each case hashes the repr of an encoder's `forward` tuple, of a
+Each case hashes the repr of an encoder's codewords as a tuple, of a
 minimized zone's (sorted patterns, cost, exact) and of its patterns in
 issue order, of every (value's exponent pair, pairings, message) of a
 fixed query corpus, of the wire blobs of a fixed key, ciphertext and
@@ -87,8 +87,7 @@ ENCODING_DIGESTS = {
 
 # the cases above EXACT_SPACE_LIMIT allowed codewords (minterms plus
 # don't-cares), which take the greedy path; every other case takes the
-# exact one.  All but HGE/5000/7/0.05/True move when the greedy pick ties
-# by (cost, pattern) instead of by (mask, value).
+# exact one
 GREEDY_CASES = [
     ("HGE", 5000, 7, 0.05, True), ("HGE", 5000, 7, 0.15, True),
     ("HGE", 9000, 7, 0.05, True), ("SGO", 9000, 7, 0.15, True),
@@ -130,10 +129,10 @@ MINIMIZE_DIGESTS = {
     "SGO/5000/7/0.05/True": "cf9bda12f642d75aa9ac60381c6416dfcf30c482ce5975154a6d15249b129736",
     "SGO/5000/7/0.05/False": "8e7784479f9aa3c128f322660beb82f60e06f3f5f7bac9d09697b98917c3d9c7",
     "HGE/5000/7/0.05/True": "7b10d8d6006269626eed39a751945c15e6eb82ac601951a8fe9a6848c2c32954",
-    "HGE/5000/7/0.15/True": "06914af0ccb098c82acb5ccf2270ad3ffc62554b9884445a4b0d0dce3afcc376",
-    "HGE/9000/7/0.05/True": "28b149c7d83fdfc362b34a5be2104db90401a02cc887550027d70cc2d73c9c4f",
-    "SGO/9000/7/0.15/True": "3c1213e230734519e66b91d5bb09ab3b085690de0defb53bdaff87a2435c718e",
-    "SGO/9000/8/0.02/True": "a6de1ef7e32ab57201e8d21c03bb9d2d3017fd6a63041870494d68f3a6117bd8",
+    "HGE/5000/7/0.15/True": "7ce74efc2f3f29d0847d79e4a5b7521d71509349e61a9c757f3e849f20aad121",
+    "HGE/9000/7/0.05/True": "5c9b1f0a3fd01e5aa73fbc6d79478bd5dc4aab44b6f40c8466df6ce02578ba56",
+    "SGO/9000/7/0.15/True": "26212d56d26af9eedc0277d19c2cc34b5e2b6cfae69d12a0c3f7d3d0d78885fd",
+    "SGO/9000/8/0.02/True": "01235261cdba8a554a47430ab0d956056732fa78f6b50930372528b6e1538c96",
     "HGE/5000/7/0.05/False": "04a7d1a69aa1e61e089738dfc6fe4218675de1d3cced3b930333507c485021d2",
     "SGO/5000/7/0.3/False": "347d0737ddc11a912026aa64886b489a166fb153adec5c9ece1a4d36bde6dad0",
     "HGE/5000/7/0.3/False": "be00049f03e5dd284b78034f107956744c39fa7cb88088c7cd0504e72f9d9889",
@@ -152,10 +151,10 @@ ISSUE_ORDER_DIGESTS = {
     "SGO/5000/7/0.05/True": "b63310036cf988a370d6a8a75adc10c2683f0d3e03adba80d88f5ab996ab9f8d",
     "SGO/5000/7/0.05/False": "e33530eb73dac6fca42d16ef69dede50cdfb5ae6e52d1c859a8ea50d5a0fbcd0",
     "HGE/5000/7/0.05/True": "8a7013a84603e40cf427d33aa15ca609c426164ad970f01e27a02b518c4d3c50",
-    "HGE/5000/7/0.15/True": "a8dee7a3dac1741d241866f196fdabe32ed7fcfbd81ce6f92788559963beb520",
-    "HGE/9000/7/0.05/True": "d778b01607ce749734e45caa800ad9cb4418bb5b34ec8dca51e503de68dd8384",
-    "SGO/9000/7/0.15/True": "46c94bfa50fdefc648d1d341bced384beb15fce513e1d208aaa78bdf11bc6b36",
-    "SGO/9000/8/0.02/True": "4ee05d98e1890f7efc06e03765c84b77e5dc828321f5f6471599a525cce83b15",
+    "HGE/5000/7/0.15/True": "ab09f58c5a7c7c156bab7fe0c1962b23fb24143e44a3f130210cb3249cf34a65",
+    "HGE/9000/7/0.05/True": "33b65b2dfe1af99ba514aaf15e10f34f184686f284ad24e54149227edb6c0571",
+    "SGO/9000/7/0.15/True": "3cd33377708a6f6fa244c1523cf8ab287c91202c934ecc9d757797936d754ab9",
+    "SGO/9000/8/0.02/True": "e54f19e75a9cc83cdc12deb1fd9156b356b2de9cb3b0aaa0b75d89887fd13aa4",
     "HGE/5000/7/0.05/False": "2fa44bb0960432e393531a5025608d1d025b6f63d787116f92c73fcc1615c5f5",
     "SGO/5000/7/0.3/False": "fdc1c96c6e9a47e5b410ece4f8efbed6851a6795cf4c0f8df055953bf7c4ffb0",
     "HGE/5000/7/0.3/False": "42fc33530ce8afb831a8a9647be52d92dc13a454faffbb24ffebac6173517de1",
@@ -166,7 +165,7 @@ ISSUE_ORDER_DIGESTS = {
 def test_encoding_digest(algorithm, n, seed, kind):
     enc = ENCODERS[algorithm](grid_for(n, seed, kind))
     key = f"{algorithm}/{n}/{seed}/{kind}"
-    assert digest(enc.forward) == ENCODING_DIGESTS[key]
+    assert digest(tuple(enc.codewords.tolist())) == ENCODING_DIGESTS[key]
 
 
 def shallow_grids():
@@ -187,7 +186,7 @@ def shallow_grids():
 
 
 # shallow GO and MSGO passes, whose first stage the cases above never run
-# alone; each digest hashes (forward, multiplications) over shallow_grids()
+# alone; each digest hashes (codewords, multiplications) over shallow_grids()
 SHALLOW_RUNS = {
     "GO/1": lambda g, c: gray_optimizer(g, depth=1, counter=c),
     "GO/3": lambda g, c: gray_optimizer(g, depth=min(3, g.k), counter=c),
@@ -208,7 +207,7 @@ def test_shallow_pass_digest(run):
     out = []
     for grid in shallow_grids():
         counter = OpCounter()
-        out.append((SHALLOW_RUNS[run](grid, counter).forward,
+        out.append((tuple(SHALLOW_RUNS[run](grid, counter).codewords.tolist()),
                     counter.multiplications))
     assert digest(out) == SHALLOW_DIGESTS[run]
 
@@ -235,13 +234,13 @@ def test_minimize_digest(algorithm, n, seed, fraction, dummy, monkeypatch):
     zone = bench.sample_zone(grid.probabilities(), fraction,
                              random.Random(f"golden/zone/{n}/{seed}"))
     calls = Counter()
-    for name in ("greedy_cover", "_truth_table_primes", "_qm_primes"):
+    for name in ("_grow_prime_cube", "_truth_table_primes", "_qm_primes"):
         monkeypatch.setattr(tokens, name, counting(calls, name, getattr(tokens, name)))
     ts = minimize(zone, enc, allow_dummy_cover=dummy)
     key = f"{algorithm}/{n}/{seed}/{fraction}/{dummy}"
     case = (algorithm, n, seed, fraction, dummy)
     allowed = len(zone) + (len(enc.dummies()) if dummy else 0)
-    assert (bool(calls["greedy_cover"]) == (allowed > EXACT_SPACE_LIMIT)
+    assert (bool(calls["_grow_prime_cube"]) == (allowed > EXACT_SPACE_LIMIT)
             == (case in GREEDY_CASES))
     assert bool(calls["_truth_table_primes"]) == (case in DENSE_CASES)
     assert bool(calls["_qm_primes"]) == (case not in DENSE_CASES + GREEDY_CASES)

@@ -115,12 +115,12 @@ def test_encoding_rejects_duplicates_and_bad_width():
 
 
 def test_encoding_builds_its_reverse_map_on_first_lookup():
-    """Construction builds neither the sorted codewords `cell_at` reads nor
-    the `forward` tuple; the first `cell_at` call sorts, the first read of
-    `forward` builds the tuple, and no answer, equality or hash changes."""
+    """Construction does not build the sorted codewords `cell_at` reads;
+    the first `cell_at` call sorts, and no answer, equality or hash
+    changes."""
     enc = GridEncoding(n=5, k=3, forward=(4, 0, 7, 2, 1), algorithm="GO")
     twin = GridEncoding(n=5, k=3, forward=np.array([4, 0, 7, 2, 1]), algorithm="GO")
-    lazy = {"_lookup", "forward"}
+    lazy = {"_lookup"}
     assert not lazy & (enc.__dict__.keys() | twin.__dict__.keys())
     identity = (enc == twin, hash(enc) == hash(twin), hash(enc))
     assert identity[:2] == (True, True)
@@ -131,9 +131,7 @@ def test_encoding_builds_its_reverse_map_on_first_lookup():
     assert [twin.cell_at(v) for v in range(8)] == cells
     assert twin.dummies() == [3, 5, 6]
     assert "_lookup" in enc.__dict__ and "_lookup" in twin.__dict__
-    assert "forward" not in enc.__dict__
-    assert enc.forward == twin.forward == (4, 0, 7, 2, 1)
-    assert lazy <= enc.__dict__.keys()
+    assert enc.codewords.tolist() == twin.codewords.tolist() == [4, 0, 7, 2, 1]
     assert (enc == twin, hash(enc) == hash(twin), hash(enc)) == identity
 
 
@@ -147,8 +145,8 @@ def test_encoding_holds_one_read_only_codeword_array():
     enc = GridEncoding(n=3, k=2, forward=source)
     source[0] = 0
     assert enc.codewords.dtype == np.int64 and not enc.codewords.flags.writeable
-    assert enc.forward == (3, 1, 2) and type(enc.value(0)) is int
-    for field in ("n", "k", "codewords", "forward", "algorithm"):
+    assert enc.codewords.tolist() == [3, 1, 2] and type(enc.value(0)) is int
+    for field in ("n", "k", "codewords", "algorithm"):
         with pytest.raises(AttributeError):
             setattr(enc, field, None)
         with pytest.raises(AttributeError):
@@ -193,7 +191,7 @@ def test_array_encoding_matches_dict_reference(drawn, algorithm):
     probes = list(range(-1, (1 << k) + 1)) + [1 << 70, -(1 << 70)]
     assert [enc.cell_at(v) for v in probes] == [reverse.get(v) for v in probes]
     assert enc.dummies() == [v for v in range(1 << k) if v not in reverse]
-    assert enc.forward == tuple(forward)
+    assert enc.codewords.tolist() == forward
     twin = GridEncoding(n=n, k=k, forward=tuple(forward), algorithm=algorithm)
     assert enc == twin and hash(enc) == hash(twin)
     assert enc != GridEncoding(n=n, k=k + 1, forward=forward, algorithm=algorithm)
@@ -228,7 +226,7 @@ def test_encoding_file_round_trip():
     write_encoding(buf, enc, params="depth=3", seed=9)
     buf.seek(0)
     loaded = read_encoding(buf)
-    assert loaded.forward == enc.forward
+    assert loaded.codewords.tolist() == enc.codewords.tolist()
     assert loaded.k == enc.k
     assert loaded.algorithm == "GO"
     text = buf.getvalue()
@@ -283,7 +281,7 @@ def test_hge_width_is_the_widest_readable(n):
     assert enc.k == 2 * quadtree_levels(n)
     buf = io.StringIO()
     write_encoding(buf, enc)
-    assert read_encoding(io.StringIO(buf.getvalue())).forward == enc.forward
+    assert read_encoding(io.StringIO(buf.getvalue())).codewords.tolist() == enc.codewords.tolist()
 
 
 def test_deepened_hge_encoding_is_refused_by_the_writer():
@@ -326,8 +324,8 @@ def test_encoding_file_round_trip_and_corruption_properties(enc, char, seed):
     write_encoding(buf, enc, params="depth=3", seed=seed)
     text = buf.getvalue()
     loaded = read_encoding(io.StringIO(text))
-    assert (loaded.n, loaded.k, loaded.forward, loaded.algorithm) == (
-        enc.n, enc.k, enc.forward, enc.algorithm)
+    assert (loaded.n, loaded.k, loaded.codewords.tolist(), loaded.algorithm) == (
+        enc.n, enc.k, enc.codewords.tolist(), enc.algorithm)
     # every truncation, and every position replaced or deleted once: the
     # file still loads or fails with a one-line ValueError, nothing else
     for end in range(len(text)):

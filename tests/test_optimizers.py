@@ -26,7 +26,7 @@ def top_cell(probs):
 
 def test_two_cell_grid_forced():
     enc = gray_optimizer(Grid.regular(2, [0.9, 0.1]))
-    assert enc.forward == (0, 1)
+    assert enc.codewords.tolist() == [0, 1]
 
 
 def test_seed_defaults_and_validation():
@@ -51,7 +51,7 @@ def test_assignment_rejects_double_assignment():
     st.go_pass(2, 1)  # the seed's free neighbours, ascending
     assert st.claimed == [2, 0, 3]
     st.complete_sorted()
-    assert st.to_encoding("GO").forward == (0, 2, 3, 1)
+    assert st.to_encoding("GO").codewords.tolist() == [0, 2, 3, 1]
 
 
 def test_assignment_refuses_a_real_cell_without_codeword():
@@ -63,7 +63,7 @@ def test_assignment_refuses_a_real_cell_without_codeword():
     with pytest.raises(ValueError, match="cell 1 left unassigned"):
         st.to_encoding("GO")
     st.claim(3)
-    assert st.to_encoding("GO").forward == (1, 3, 0)
+    assert st.to_encoding("GO").codewords.tolist() == [1, 3, 0]
 
 
 def test_op_counter_closed_form():
@@ -156,19 +156,19 @@ def test_msgo_full_depth_forced_seed_equals_go():
     for n in (8, 16, 32):
         probs = [rng.random() for _ in range(n)]
         g = Grid.regular(n, probs)
-        assert msgo(g, depth=g.k).forward == gray_optimizer(g).forward
+        assert msgo(g, depth=g.k).codewords.tolist() == gray_optimizer(g).codewords.tolist()
 
 
 def test_msgo_padding_and_determinism():
     g = Grid.regular(5, [0.5, 0.4, 0.3, 0.2, 0.1])
     enc1 = msgo(g, depth=2)
     enc2 = msgo(g, depth=2)
-    assert enc1.forward == enc2.forward
+    assert enc1.codewords.tolist() == enc2.codewords.tolist()
     assert enc1.k == 3 and enc1.space - enc1.n == 3
     # MSGO draws nothing, so the inert rng_seed keyword cannot matter
-    assert msgo(g, depth=2, rng_seed=9).forward == enc1.forward
-    assert msgo(g, depth=2, rng_seed=10, counter=OpCounter()).forward == \
-        enc1.forward
+    assert msgo(g, depth=2, rng_seed=9).codewords.tolist() == enc1.codewords.tolist()
+    assert msgo(g, depth=2, rng_seed=10, counter=OpCounter()).codewords.tolist() == \
+        enc1.codewords.tolist()
     with pytest.raises(ValueError):
         msgo(g, depth=0)
 
@@ -195,18 +195,18 @@ def test_sgo_hand_example():
     """Highest cell takes the origin; depth-one matching fills 01/10 with
     the next two cells in order; the last cell lands on 11."""
     enc = sgo(Grid.regular(4, [0.9, 0.5, 0.4, 0.1]))
-    assert enc.forward == (0b00, 0b01, 0b10, 0b11)
+    assert enc.codewords.tolist() == [0b00, 0b01, 0b10, 0b11]
 
 
 def test_sgo_uniform_probabilities_still_bijective():
     enc = sgo(Grid.regular(16, [0.5] * 16))
-    assert sorted(enc.forward) == list(range(16))
+    assert sorted(enc.codewords.tolist()) == list(range(16))
 
 
 def test_hge_one_level():
     enc = hge_baseline(Grid.regular(4))
     # NW NE / SW SE row-major cells get Gray labels 00 01 / 10 11
-    assert enc.forward == (0b00, 0b01, 0b10, 0b11)
+    assert enc.codewords.tolist() == [0b00, 0b01, 0b10, 0b11]
     assert enc.k == 2
 
 
@@ -235,12 +235,12 @@ def test_hge_pads_non_power_of_four():
 
 def test_random_baseline_seeds():
     g = Grid.regular(12, [0.5] * 12)
-    encs = {random_baseline(g, seed).forward for seed in (1, 2, 3)}
+    encs = {tuple(random_baseline(g, seed).codewords.tolist()) for seed in (1, 2, 3)}
     assert len(encs) == 3
     for forward in encs:
         assert len(set(forward)) == 12
         assert all(0 <= v < 16 for v in forward)
-    assert random_baseline(g, 1).forward == random_baseline(g, 1).forward
+    assert random_baseline(g, 1).codewords.tolist() == random_baseline(g, 1).codewords.tolist()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 33, 64])
@@ -253,7 +253,7 @@ def test_every_optimizer_yields_valid_minimal_width_encoding(n):
                 random_baseline(g, 8)):
         assert enc.n == n
         assert enc.k == want_k
-        assert len(set(enc.forward)) == n
+        assert len(set(enc.codewords.tolist())) == n
         assert enc.space - enc.n == (1 << want_k) - n
 
 
@@ -263,7 +263,7 @@ def test_spot_sizes_bijection():
         probs = [rng.random() for _ in range(n)]
         g = Grid.regular(n, probs)
         for enc in (sgo(g), msgo(g, depth=4)):
-            assert len(set(enc.forward)) == n
+            assert len(set(enc.codewords.tolist())) == n
             assert enc.k == g.k
 
 
@@ -271,9 +271,9 @@ def test_optimizers_deterministic():
     rng = random.Random(1)
     probs = [rng.random() for _ in range(32)]
     g = Grid.regular(32, probs)
-    assert gray_optimizer(g).forward == gray_optimizer(g).forward
-    assert sgo(g).forward == sgo(g).forward
-    assert msgo(g, depth=3).forward == msgo(g, depth=3).forward
+    assert gray_optimizer(g).codewords.tolist() == gray_optimizer(g).codewords.tolist()
+    assert sgo(g).codewords.tolist() == sgo(g).codewords.tolist()
+    assert msgo(g, depth=3).codewords.tolist() == msgo(g, depth=3).codewords.tolist()
 
 
 def test_depth_limited_pass_then_completion():
@@ -283,7 +283,7 @@ def test_depth_limited_pass_then_completion():
     probs = [rng.random() for _ in range(32)]
     g = Grid.regular(32, probs)
     enc = gray_optimizer(g, depth=1)
-    assert len(set(enc.forward)) == 32
+    assert len(set(enc.codewords.tolist())) == 32
     ring1 = set(ring_values(0, 5, 1))
     seed = top_cell(probs)
     order = sorted(range(32), key=lambda c: (-probs[c], c))
@@ -310,7 +310,7 @@ def scalar_sgo_forward(grid, by_log=False):
         ring.sort(key=lambda c: (-held[c], c))
         for cj in ring:
             state.go_stage(cj, 1)
-    return state.to_encoding("SGO").forward
+    return state.to_encoding("SGO").codewords.tolist()
 
 
 def sgo_probabilities(kind, n):
@@ -330,7 +330,7 @@ def sgo_probabilities(kind, n):
 def test_sgo_matches_depth_one_sweep_oracle(n, kind):
     grid = Grid.regular(n, sgo_probabilities(kind, n))
     counter = OpCounter()
-    assert sgo(grid, counter=counter).forward == scalar_sgo_forward(grid)
+    assert sgo(grid, counter=counter).codewords.tolist() == scalar_sgo_forward(grid)
     assert counter.multiplications == 0
 
 
@@ -339,7 +339,7 @@ def test_sgo_matches_depth_one_sweep_oracle(n, kind):
                 min_size=1, max_size=70))
 def test_sgo_matches_oracle_on_drawn_probabilities(probs):
     grid = Grid.regular(len(probs), probs)
-    assert sgo(grid).forward == scalar_sgo_forward(grid)
+    assert sgo(grid).codewords.tolist() == scalar_sgo_forward(grid)
 
 
 def test_sgo_ranks_by_probability_not_its_logarithm():
@@ -353,14 +353,14 @@ def test_sgo_ranks_by_probability_not_its_logarithm():
     assert high > low and math.log(high) == math.log(low)
     grid = Grid.regular(32, [0.9] + [high] * 8 + [low] * 23)
     enc = sgo(grid)
-    assert enc.forward == scalar_sgo_forward(grid)
-    assert enc.forward != scalar_sgo_forward(grid, by_log=True)
+    assert enc.codewords.tolist() == scalar_sgo_forward(grid)
+    assert enc.codewords.tolist() != scalar_sgo_forward(grid, by_log=True)
     # ring 2's high cells 6, 7 and 8 sit on codewords 3, 5 and 9, which are
     # visited before the low cell on 6; so ring 3 claims 25, a neighbour of
     # 9, before 14 and 22, neighbours of 6 (ranking by logarithm visits
     # ring 2 by codeword and claims 14 and 22 first)
-    assert enc.forward[6:9] == (3, 5, 9)
-    assert enc.forward[19:24] == (13, 21, 25, 14, 22)
+    assert enc.codewords.tolist()[6:9] == [3, 5, 9]
+    assert enc.codewords.tolist()[19:24] == [13, 21, 25, 14, 22]
 
 
 def quad_leaf(x, y, levels):
@@ -392,7 +392,7 @@ def scalar_hge_forward(grid):
     while True:
         leaves = [quad_leaf(x, y, levels) for x, y in zip(grid.x, grid.y)]
         if len(set(leaves)) == grid.n:
-            return 2 * levels, tuple(leaves)
+            return 2 * levels, leaves
         levels += 1
 
 
@@ -418,7 +418,7 @@ def test_hge_matches_scalar_oracle(points):
     xs, ys = zip(*points)
     grid = Grid(xs, ys, [0.5] * len(points))
     enc = hge_baseline(grid)
-    assert (enc.k, enc.forward) == scalar_hge_forward(grid)
+    assert (enc.k, enc.codewords.tolist()) == scalar_hge_forward(grid)
 
 
 def test_hge_matches_scalar_oracle_on_regular_and_random_grids():
@@ -428,4 +428,4 @@ def test_hge_matches_scalar_oracle_on_regular_and_random_grids():
     grids.append(Grid(xs, ys, [0.5] * 200))
     for grid in grids:
         enc = hge_baseline(grid)
-        assert (enc.k, enc.forward) == scalar_hge_forward(grid)
+        assert (enc.k, enc.codewords.tolist()) == scalar_hge_forward(grid)

@@ -13,16 +13,16 @@ from hvezones import bench, tokens
 from hvezones.gray import bit_positions
 from hvezones.grid import Grid, GridEncoding
 from hvezones.optimizers import gray_optimizer, hge_baseline, msgo
-from hvezones.tokens import (PrimeTable, TokenSet, _cover_bits, _greedy_pick,
-                             _grow_prime_cube, _holder_masks, _issue_order,
-                             _minimal_rows, _prune_redundant, _qm_primes,
-                             _truth_table_primes, exact_cover, expand_implicant,
-                             greedy_cover, implicant_cost, implicant_pattern,
-                             is_dense, match_pairings, minimize, pairing_cost,
-                             pattern_implicant, prime_implicants,
+from hvezones.tokens import (PrimeTable, TokenSet, _cover_bits, _grow_prime_cube,
+                             _holder_masks, _issue_order, _lazy_picks,
+                             _minimal_rows, _one_out_descent, _prune_redundant,
+                             _qm_primes, _truth_table_primes, exact_cover,
+                             expand_implicant, greedy_cover, implicant_cost,
+                             implicant_pattern, is_dense, match_pairings, minimize,
+                             pairing_cost, pattern_implicant, prime_implicants,
                              write_token_set)
 
-from oracles import brute_force_min_cost
+from oracles import brute_force_min_cost, pattern_codewords
 
 
 def identity_encoding(n, k):
@@ -35,6 +35,12 @@ def greedy_table(k, minterms, dontcares):
     allowed = minterms | dontcares
     return PrimeTable.build(k, {_grow_prime_cube(m, k, allowed) for m in minterms},
                             minterms)
+
+
+def whole_greedy_cover(table):
+    """The greedy step over every cube of the table, as the greedy path
+    runs it before the descent."""
+    return greedy_cover(table, range(len(table.primes)), table.full)
 
 
 def test_pattern_implicant_round_trip():
@@ -120,8 +126,8 @@ def test_dummy_coverage_flag():
     strict = minimize(set(range(8)), enc, allow_dummy_cover=False)
     assert loose.patterns == ("****",)
     assert strict.cost > loose.cost
-    assert strict.covered == set(range(0, 16, 2))
-    for value in strict.covered:
+    assert pattern_codewords(strict.patterns) == set(range(0, 16, 2))
+    for value in pattern_codewords(strict.patterns):
         assert enc.cell_at(value) is not None
 
 
@@ -138,8 +144,9 @@ def test_minimizer_matches_bruteforce_random_zones():
         zone_values = {enc.value(c) for c in zone}
         dontcares = set(enc.dummies()) if allow else set()
         assert ts.cost == brute_force_min_cost(4, zone_values, dontcares)
-        assert zone_values <= ts.covered
-        assert ts.covered - zone_values <= dontcares
+        covered = pattern_codewords(ts.patterns)
+        assert zone_values <= covered
+        assert covered - zone_values <= dontcares
 
 
 def test_cover_exactness_randomized_widths():
@@ -154,8 +161,9 @@ def test_cover_exactness_randomized_widths():
         zone = frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
         ts = minimize(zone, enc)
         zone_values = {enc.value(c) for c in zone}
-        assert zone_values <= ts.covered
-        assert all(enc.cell_at(v) is None for v in ts.covered - zone_values)
+        covered = pattern_codewords(ts.patterns)
+        assert zone_values <= covered
+        assert all(enc.cell_at(v) is None for v in covered - zone_values)
         # no pattern is redundant
         for dropped in range(len(ts.patterns)):
             rest = set()
@@ -191,8 +199,9 @@ def test_greedy_path_on_wide_space():
     ts = minimize(zone, enc, allow_dummy_cover=True)
     assert not ts.exact
     zone_values = {enc.value(c) for c in zone}
-    assert zone_values <= ts.covered
-    assert all(enc.cell_at(v) is None for v in ts.covered - zone_values)
+    covered = pattern_codewords(ts.patterns)
+    assert zone_values <= covered
+    assert all(enc.cell_at(v) is None for v in covered - zone_values)
     again = minimize(zone, enc, allow_dummy_cover=True)
     assert again.patterns == ts.patterns
 
@@ -200,7 +209,7 @@ def test_greedy_path_on_wide_space():
 def test_wide_zone_without_dontcares_is_certified():
     """At k = 13 a 1500-cell zone without don't-cares takes the exact path,
     and its certified cover costs no more than the greedy one (here 9540
-    against 10247 non-star bits)."""
+    against 10224 non-star bits)."""
     rng = random.Random(5)
     n = 6000
     forward = tuple(rng.sample(range(1 << 13), n))
@@ -209,9 +218,9 @@ def test_wide_zone_without_dontcares_is_certified():
     ts = minimize(zone, enc, allow_dummy_cover=False)
     assert ts.exact
     minterms = {enc.value(c) for c in zone}
-    assert ts.covered == minterms
+    assert pattern_codewords(ts.patterns) == minterms
     table = greedy_table(13, minterms, set())
-    assert ts.cost <= sum(table.costs[i] for i in greedy_cover(table))
+    assert ts.cost <= sum(table.costs[i] for i in whole_greedy_cover(table))
 
 
 def test_exact_cover_deep_search_needs_no_recursion():
@@ -231,7 +240,7 @@ def test_greedy_cover_prime_cubes_cannot_grow():
     dontcares = set(rng.sample(sorted(set(range(1 << 13)) - minterms), 2000))
     allowed = minterms | dontcares
     table = greedy_table(13, minterms, dontcares)
-    for mask, value in (table.primes[i] for i in greedy_cover(table)):
+    for mask, value in (table.primes[i] for i in whole_greedy_cover(table)):
         for bit in (1 << b for b in range(13) if not mask >> b & 1):
             grown = expand_implicant((mask | bit, value & ~bit))
             assert not all(v in allowed for v in grown)
@@ -292,9 +301,11 @@ def rescan_greedy_pick(candidates, cover_bits, costs, full):
 
 def test_lazy_greedy_pick_matches_full_rescan():
     """Random instances with many gain and cost ties: few minterms, small
-    cubes, two cost levels, candidates in shuffled order.  Ties go by a
-    random permutation `tie`; the reference, which ties by index, runs on
-    the instance relabelled by it."""
+    cubes, two cost levels, candidates in shuffled order.  The lazy picks
+    run on `greedy_cover`'s key with a random permutation `tie` as the text
+    rank; the reference, which ties by index, runs on the instance
+    relabelled by it.  Where the candidates cannot cover `full`,
+    `greedy_cover` refuses the instance."""
     rng = random.Random(17)
     for trial in range(400):
         width = rng.randrange(1, 24)
@@ -312,14 +323,18 @@ def test_lazy_greedy_pick_matches_full_rescan():
         relabelled_bits, relabelled_costs = [0] * count, [0] * count
         for idx in range(count):
             relabelled_bits[tie[idx]], relabelled_costs[tie[idx]] = cover_bits[idx], costs[idx]
+        picks, left = _lazy_picks(candidates, cover_bits, full,
+                                  lambda gain, idx: (-gain, costs[idx], tie[idx]))
         try:
             want = rescan_greedy_pick([tie[idx] for idx in candidates], relabelled_bits,
                                       relabelled_costs, full)
         except ValueError:
+            assert left
+            table = PrimeTable([], costs, [], tie, cover_bits, full)
             with pytest.raises(ValueError):
-                _greedy_pick(candidates, cover_bits, costs, full, tie)
+                greedy_cover(table, candidates, full)
             continue
-        assert [tie[idx] for idx in _greedy_pick(candidates, cover_bits, costs, full, tie)] == want
+        assert not left and [tie[idx] for idx in picks] == want
 
 
 def union_prune_redundant(chosen, cover_bits, costs, full, tie):
@@ -433,7 +448,8 @@ def min_pivot_exact_cover(k, primes, minterms):
         return [primes[i] for i in sorted(set(chosen), key=lambda i: patterns[i])], True
 
     base_cost = sum(costs[i] for i in chosen)
-    greedy = _greedy_pick(active, cover_bits, costs, remaining, range(len(primes)))
+    # the incumbent: within one cost, index order is text order
+    greedy = rescan_greedy_pick(active, cover_bits, costs, remaining)
     greedy = _prune_redundant(greedy, cover_bits, costs, remaining, patterns)
     best = chosen + greedy
     best_key = (sum(costs[i] for i in best), len(best),
@@ -651,13 +667,13 @@ def test_minimize_polishes_budget_exhausted_covers(budget, cover_instances, monk
         table, cover, certified = searched[0]
         assert ts.exact == certified
         cells = set(enc.codewords.tolist())
-        assert ts.covered & cells == minterms
+        assert pattern_codewords(ts.patterns) & cells == minterms
         if certified:
             assert sorted(ts.patterns) == [table.patterns[i] for i in cover]
             continue
         want = rebuild_one_out_descent(table, cover)
         assert sorted(ts.patterns) == [table.patterns[i] for i in want]
-        before = TokenSet(tuple(table.patterns[i] for i in cover), frozenset(),
+        before = TokenSet(tuple(table.patterns[i] for i in cover),
                           sum(table.costs[i] for i in cover), False)
         assert ts.cost <= before.cost
         assert len(ts.patterns) <= len(before.patterns)
@@ -775,13 +791,45 @@ def test_exact_path_cover_properties(problem):
     enc = GridEncoding(n=len(forward), k=k, forward=forward, algorithm="h")
     zone = {c for c, v in enumerate(forward) if v in minterms}
     ts = minimize(zone, enc, allow_dummy_cover=True)
-    reached = {v for p in ts.patterns for v in expand_implicant(pattern_implicant(p))}
-    assert reached == ts.covered
+    reached = pattern_codewords(ts.patterns)
     assert minterms <= reached <= minterms | dontcares
     assert ts.cost == sum(len(p) - p.count("*") for p in ts.patterns)
     if k <= 4 and ts.exact:
         assert ts.cost == brute_force_min_cost(k, minterms, dontcares)
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_problems())
+@example((5, list("modmmmdmmoooomoodommdommmdoomomd")))  # the descent saves a bit
+def test_greedy_path_cover_properties(problem):
+    """With EXACT_SPACE_LIMIT at 0 every zone short of the full space takes
+    the greedy path: its cover reaches every minterm and no off-zone cell,
+    is flagged inexact, is the one-out descent of the greedy step's cover,
+    and is never costlier than that cover in non-star bits or pairings."""
+    k, roles = problem
+    minterms = {v for v, r in enumerate(roles) if r == "m"}
+    dontcares = {v for v, r in enumerate(roles) if r == "d"}
+    forward = tuple(v for v, r in enumerate(roles) if r != "d")
+    enc = GridEncoding(n=len(forward), k=k, forward=forward, algorithm="h")
+    zone = {c for c, v in enumerate(forward) if v in minterms}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tokens, "EXACT_SPACE_LIMIT", 0)
+        ts = minimize(zone, enc, allow_dummy_cover=True)
+    if len(minterms | dontcares) == 1 << k:
+        assert ts.patterns == ("*" * k,) and ts.exact
+        return
+    reached = pattern_codewords(ts.patterns)
+    assert minterms <= reached <= minterms | dontcares
+    assert not ts.exact
+    table = greedy_table(k, minterms, dontcares)
+    greedy = whole_greedy_cover(table)
+    assert sorted(ts.patterns) == [table.patterns[i]
+                                   for i in _one_out_descent(table, greedy)]
+    before = TokenSet(tuple(table.patterns[i] for i in greedy),
+                      sum(table.costs[i] for i in greedy), False)
+    assert ts.cost == sum(len(p) - p.count("*") for p in ts.patterns) <= before.cost
+    assert pairing_cost(ts) <= pairing_cost(before)
 
 # --- issue order ---
 
@@ -856,7 +904,7 @@ def test_issue_order_matches_full_rescan(issued_covers):
         want, tied = rescan_issue_order(ts.patterns, zone_values)
         assert list(ts.patterns) == want
         ties += tied
-        dummies += bool(ts.covered - zone_values)
+        dummies += bool(pattern_codewords(ts.patterns) - zone_values)
         matched = [zone_matches(p, zone_values) for p in ts.patterns]
         overlaps += sum(len(m) for m in matched) > len(set().union(*matched))
     assert overlaps > 10 and ties > 10 and dummies > 10
