@@ -168,6 +168,7 @@ def cmd_tokens(args: argparse.Namespace) -> int:
     with _output(args) as out:
         write_token_set(out, ts, zone_size=len(zone), encoder=enc.algorithm)
         out.write(f"# pairing_cost={pairing_cost(ts)}\n")
+        out.write(f"# bound={ts.bound}\n")
         out.write(f"# match_pairings="
                   f"{match_pairings(ts.patterns, (enc.value(c) for c in zone))}\n")
     return 0

@@ -10,9 +10,16 @@ A cover that may use at most 4096 codewords (minterms plus don't-cares),
 at any width k, is minimized exactly: prime implicants, then a
 minimum-cost cover search with essential and dominance reductions and
 branch-and-bound on the minterm with the fewest holders, from a greedy
-incumbent on the cyclic core.  A deterministic node budget keeps
-degenerate dense cores from stalling; a search that exhausts it keeps its
-best cover so far and clears the `exact` flag.  Above 4096 allowed
+incumbent on the cyclic core.  The search drops a subtree when a
+disjoint-rows floor (Coudert, DAC 1996) shows it holds nothing as cheap
+as the incumbent.  A deterministic node budget of 1500 keeps degenerate
+dense cores from stalling; a search that exhausts it keeps its best cover
+so far and clears the `exact` flag.  The budget comes from a sweep over
+1000-3000 nodes on two sets of 160 fixed `zone-minimize` rounds: 1500 is
+the least at which neither set certifies fewer covers than 20,000 nodes
+did without the floor.
+Every `TokenSet` carries a lower bound on its cost, the floor of its core
+plus the essential picks where the search ran out.  Above 4096 allowed
 codewords the same greedy step, run over prime cubes grown from each
 minterm, builds the whole cover, which is flagged approximate as well.
 The greedy step is lazy (a heap of possibly stale gains, rechecked when
@@ -75,7 +82,7 @@ from .gray import bit_positions
 from .grid import GridEncoding
 
 EXACT_SPACE_LIMIT = 4096
-BRANCH_NODE_BUDGET = 20_000
+BRANCH_NODE_BUDGET = 1_500
 DENSE_RATIO = 16            # 2^k / allowed codewords up to which `is_dense` holds
 _NO_PICK = float("inf")     # entry cost that ends a branch node
 
@@ -123,6 +130,8 @@ class TokenSet:
     cost: int                   # total non-star bits
     exact: bool                 # False for greedy covers and for budget-exhausted
                                 # ones, which the one-out descent may cheapen
+    bound: int                  # no cover of the zone has fewer non-star bits;
+                                # equals cost when exact
 
 
 def pairing_cost(ts: TokenSet) -> int:
@@ -357,13 +366,16 @@ def _minimal_rows(remaining: int, holders: List[int], active: int,
     return kept
 
 
-def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
+def exact_cover(table: PrimeTable) -> Tuple[List[int], bool, int]:
     """Minimum-cost cover of the minterms by the table's primes, as indices
     in text order.
 
     Ties prefer fewer patterns, then the lexicographically smaller sorted
-    pattern list.  Returns (cover, certified); certified is False only if
-    the branch-and-bound budget ran out and the incumbent was kept.
+    pattern list.  Returns (cover, certified, bound); certified is False
+    only if the branch-and-bound budget ran out and the incumbent was kept,
+    and bound is a lower bound on every cover's cost: the cover's own cost
+    when certified, else the essential picks' cost plus the disjoint-rows
+    floor of the cyclic core.
     """
     costs, cover_bits, text_rank = table.costs, table.bits, table.rank
     chosen: List[int] = []
@@ -421,13 +433,13 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
         if kept != remaining:
             remaining, changed = kept, True
 
+    base_cost = sum(costs[i] for i in chosen)
     if not remaining:
-        return sorted(set(chosen), key=text_rank.__getitem__), True
+        return sorted(set(chosen), key=text_rank.__getitem__), True, base_cost
 
     # covers tie on text ranks, which order the patterns as their text
     # does without comparing strings; within one cost, text rank is index
     # order
-    base_cost = sum(costs[i] for i in chosen)
     best = chosen + greedy_cover(table, bit_positions(active), remaining)
 
     # Branch on the minterm with the fewest holders (lowest position on
@@ -447,14 +459,39 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool]:
     # holder over the slack ends the node
     entries = [[(costs[i], ~ranked[i], i) for i in held] + [(_NO_PICK, 0, -1)]
                for held in holders_at]
+    # per rank the cost of its cheapest holder, and every rank a holder of
+    # it covers: the two inputs of the disjoint-rows floor
+    reach = [0] * len(order)
+    for r, held in enumerate(holders_at):
+        for i in held:
+            reach[r] |= ranked[i]
+    cheap = [held[0][0] for held in entries]
 
-    best, certified = _branch_and_bound(entries, chosen, base_cost, best, costs, text_rank)
-    return sorted(set(best), key=text_rank.__getitem__), certified
+    best, certified = _branch_and_bound(entries, cheap, reach, chosen, base_cost, best,
+                                        costs, text_rank)
+    bound = (sum(costs[i] for i in best) if certified
+             else base_cost + _disjoint_floor((1 << len(order)) - 1, cheap, reach))
+    return sorted(set(best), key=text_rank.__getitem__), certified, bound
 
 
-def _branch_and_bound(entries: List[list], chosen: List[int], base_cost: int,
-                      best: List[int], costs: List[int],
-                      text_rank: List[int]) -> Tuple[List[int], bool]:
+def _disjoint_floor(sub: int, cheap: List[int], reach: List[int],
+                    limit: float = float("inf")) -> int:
+    """A lower bound on the cost of covering the ranks of `sub`: take the
+    lowest rank left, add the cost of its cheapest holder and drop every
+    rank a holder of it covers, until nothing is left.  No prime holds two
+    of the ranks taken, so every cover pays for each separately.  Stops
+    once the sum passes `limit`."""
+    total = 0
+    while sub and total <= limit:
+        r = (sub & -sub).bit_length() - 1
+        total += cheap[r]
+        sub &= ~reach[r]
+    return total
+
+
+def _branch_and_bound(entries: List[list], cheap: List[int], reach: List[int],
+                      chosen: List[int], base_cost: int, best: List[int],
+                      costs: List[int], text_rank: List[int]) -> Tuple[List[int], bool]:
     """Depth-first search of the core for a cover better than `best` by
     (cost, size, sorted text ranks); `entries[r]` are the holders of the
     r-th pivot choice.  Returns the best picks and whether the search
@@ -466,21 +503,25 @@ def _branch_and_bound(entries: List[list], chosen: List[int], base_cost: int,
     leaf when the lowest set bit of `leaf ^ best` lies in the leaf.
 
     The open node lives in locals (its residue of ranks, cost and slack
-    under the bound), its ancestors on a stack with their untried holders
-    and the pick being explored.  Holders are bounded when reached and
-    every node entry counts against the budget; the root always branches
-    (the greedy incumbent costs over base_cost).  A child whose pivot has
-    no holder within the slack left would visit nothing, so it is not
-    pushed.
+    under the incumbent's cost), its ancestors on a stack with their
+    untried holders and the pick being explored.  Holders are bounded when
+    reached and every node entry counts against the budget; the root always
+    branches (the greedy incumbent costs over base_cost).  A child is
+    pushed only when the disjoint-rows floor of its residue (`cheap` and
+    `reach`, see `_disjoint_floor`) fits in the slack left: any other child
+    holds no cover as cheap as the incumbent.  A floor that only ties the
+    slack is kept, since a leaf of equal cost may still win on size or
+    text.  Only dead subtrees go, so the search meets its surviving nodes
+    in the same order as without the floor.
     """
     budget, nodes = BRANCH_NODE_BUDGET, 1
-    bound, best_size = sum(costs[i] for i in best), len(best)
+    best_cost, best_size = sum(costs[i] for i in best), len(best)
     chosen_bits = best_bits = 0
     for i in chosen:
         chosen_bits |= 1 << text_rank[i]
     for i in best:
         best_bits |= 1 << text_rank[i]
-    left, cost, slack = (1 << len(entries)) - 1, base_cost, bound - base_cost
+    left, cost, slack = (1 << len(entries)) - 1, base_cost, best_cost - base_cost
     untried = iter(entries[0])
     stack = []
     while True:
@@ -489,7 +530,7 @@ def _branch_and_bound(entries: List[list], chosen: List[int], base_cost: int,
                 if not stack:
                     return best, True
                 left, cost, untried, _ = stack.pop()
-                slack = bound - cost
+                slack = best_cost - cost
                 break
             nodes += 1
             if nodes > budget:
@@ -505,13 +546,12 @@ def _branch_and_bound(entries: List[list], chosen: List[int], base_cost: int,
                     differ = bits ^ best_bits
                     if c < slack or size < best_size or differ & -differ & bits:
                         best = chosen + [frame[3] for frame in stack] + [i]
-                        best_size, best_bits, bound, slack = size, bits, cost + c, c
-            elif c < slack:
-                held = entries[(sub & -sub).bit_length() - 1]
-                if held[0][0] <= slack - c:
-                    stack.append((left, cost, untried, i))
-                    left, cost, slack, untried = sub, cost + c, slack - c, iter(held)
-                    break
+                        best_size, best_bits, best_cost, slack = size, bits, cost + c, c
+            elif c < slack and _disjoint_floor(sub, cheap, reach, slack - c) <= slack - c:
+                stack.append((left, cost, untried, i))
+                left, cost, slack = sub, cost + c, slack - c
+                untried = iter(entries[(sub & -sub).bit_length() - 1])
+                break
 
 
 def _one_out_descent(table: PrimeTable, cover: List[int]) -> List[int]:
@@ -683,20 +723,23 @@ def minimize(zone: Iterable[int], enc: GridEncoding,
     allowed = minterms | dontcares
     if len(allowed) == 1 << k:
         table = PrimeTable.build(k, [((1 << k) - 1, 0)], minterms)
-        cover, certified = [0], True
+        cover, certified, bound = [0], True, 0
     elif len(allowed) <= EXACT_SPACE_LIMIT:
         table = PrimeTable.build(k, prime_implicants(k, minterms, dontcares), minterms)
-        cover, certified = exact_cover(table)
+        cover, certified, bound = exact_cover(table)
     else:
         cubes = {_grow_prime_cube(m, k, allowed) for m in minterms}
         table = PrimeTable.build(k, cubes, minterms)
         cover, certified = greedy_cover(table, range(len(cubes)), table.full), False
+        # the grown cubes are not every prime, so only the cheapest pattern
+        # any cover needs bounds it: at most log2 |allowed| stars
+        bound = k + 1 - len(allowed).bit_length()
     if not certified:
         cover = _one_out_descent(table, cover)
 
     return TokenSet(
         patterns=tuple(_issue_order(table, cover)),
-        cost=sum(table.costs[i] for i in cover), exact=certified)
+        cost=sum(table.costs[i] for i in cover), exact=certified, bound=bound)
 
 
 def write_token_set(fp: IO[str], ts: TokenSet, zone_size: int, encoder: str) -> None:

@@ -22,12 +22,17 @@ positions in ascending order.
 There is no secret-key blob: the authority never ships its secret key,
 and `hve.setup` re-derives a key pair from (width, seed).
 
-A token blob carries its pattern text, so the untrusted server that
-loads it reads the 0/1 value of every non-star bit, and with them the
-codewords of the zone the token covers.  Boneh-Waters HVE reveals only
-the non-star positions J, and `hve.query` reads only the positions and
-the width; the pattern's bit values go on the wire beyond what the
-scheme itself reveals.
+A token blob carries its pattern text, so the server that loads it reads
+the token's codewords.  The scheme reveals them anyway: the public key is
+public, and a holder of it encrypts each of the 2^k attributes under a
+message of its own choosing and queries the token, which returns that
+message on exactly the pattern's codewords (offline keyword guessing;
+Byun, Rhee, Park & Lee, SDM 2006).  `hve.query` reads only the width, J
+and the key components, so the pattern text adds nothing to that.  What
+stays hidden is which cells the codewords stand for: the repository
+assumes the cell-to-codeword encoding is known to the authority and the
+users but secret from the server, which matches users without holding it.
+A server that learns the encoding learns each token's cells.
 """
 
 from __future__ import annotations

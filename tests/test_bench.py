@@ -221,7 +221,7 @@ def test_spot_check_detects_bad_cover():
     good = minimize(zone, enc, allow_dummy_cover=False)
     spot_check(cfg, 0, grid, enc, zone, good)
     # drop one pattern: the zone is no longer covered
-    bad = TokenSet(patterns=good.patterns[:-1] or ("0000",), cost=1, exact=True)
+    bad = TokenSet(patterns=good.patterns[:-1] or ("0000",), cost=1, exact=True, bound=1)
     with pytest.raises(AssertionError):
         spot_check(cfg, 0, grid, enc, zone, bad)
 

@@ -1,6 +1,7 @@
 """What a fresh process loads: an alert round imports no part of
-`scipy.sparse`, which only the exact 2^n Markov chains use, not OpenSSL's
-`_hashlib`, which only `bench.child_seed` uses, and not `numpy.ma`.  And
+`scipy.sparse`, which only the exact 2^n Markov chains use, nor of
+`scipy.optimize`, which no round needs, not OpenSSL's `_hashlib`, which
+only `bench.child_seed` uses, and not `numpy.ma`.  And
 what the wide-grid encoders allocate: no per-cell Python objects."""
 
 import os
@@ -45,6 +46,7 @@ ROUND = textwrap.dedent("""
                       for tk in tks)
             assert hit == (cell in zone), cell
     assert "scipy.sparse" not in sys.modules, "an alert round loaded scipy.sparse"
+    assert "scipy.optimize" not in sys.modules, "an alert round loaded scipy.optimize"
     assert "_hashlib" not in sys.modules, "an alert round loaded _hashlib"
     assert "numpy.ma" not in sys.modules, "an alert round loaded numpy.ma"
 

@@ -352,13 +352,13 @@ def test_wire_digest():
 # because it carries real measurements
 CSV_DIGESTS = {
     "benchmark --n 256 --algorithm GO --trials 3 --seed 42":
-        "ff089576a12cc61df6b745926110ff6cd23e5311e531b09cdcf5ae92e17ba6c0",
+        "9f5ef282c6c714ec8df1e750471f5f7562e24fa8daeb716fbd210dee5986a9f7",
     "benchmark --n 1024 --algorithm MSGO --depth 4 --trials 2 --seed 42 "
     "--fractions 0.3,0.6":
-        "96e934bfc68a87140f37e0478562f8ca7110c3ca14cf597b4dbebb1d8712293b",
+        "a4e10b00528fc53feb1eb5ea0e7f4ad8bff0511078979a7ae86ed82cdb8a2c8a",
     "benchmark --n 200 --algorithm RANDOM --trials 3 --seed 7 --noise 0.2 "
     "--uniform-zones --dummy-cover":
-        "4b47a0a66b1b9d63e096f8984f8f7f1a490dd3de2bd347128688b6a1b3eb8d37",
+        "b2c7dee6ccf6c9835a9a22072efdc8af7e75eba15af23a45119e05d82aa6cc98",
     "depth-sweep --n 100 --trials 3 --seed 42":
         "315cfe6859e74daf2a63343ec35ed33c25af32b596283b3c5a02cabc65c69c4b",
     "dynamics --n 64 --trials 2 --seed 5 --algorithm SGO --dyn-zones 10":

@@ -13,8 +13,8 @@ from hvezones import bench, tokens
 from hvezones.gray import bit_positions
 from hvezones.grid import Grid, GridEncoding
 from hvezones.optimizers import gray_optimizer, hge_baseline, msgo
-from hvezones.tokens import (PrimeTable, TokenSet, _cover_bits, _grow_prime_cube,
-                             _holder_masks, _issue_order, _lazy_picks,
+from hvezones.tokens import (PrimeTable, TokenSet, _cover_bits, _disjoint_floor,
+                             _grow_prime_cube, _holder_masks, _issue_order, _lazy_picks,
                              _minimal_rows, _one_out_descent, _prune_redundant,
                              _qm_primes, _truth_table_primes, exact_cover,
                              expand_implicant, greedy_cover, implicant_cost,
@@ -77,7 +77,7 @@ def test_exact_cover_full_space_is_the_all_star_cube(k):
                                 ({0, full}, set(range(1, full)))):
         primes = prime_implicants(k, minterms, dontcares)
         assert primes == [(full, 0)]
-        assert exact_cover(PrimeTable.build(k, primes, minterms)) == ([0], True)
+        assert exact_cover(PrimeTable.build(k, primes, minterms)) == ([0], True, 0)
 
 
 @st.composite
@@ -229,7 +229,7 @@ def test_exact_cover_deep_search_needs_no_recursion():
     out."""
     minterms = set(random.Random(1).sample(range(1 << 13), 4096))
     table = PrimeTable.build(13, prime_implicants(13, minterms, set()), minterms)
-    cover, certified = exact_cover(table)
+    cover, certified, _ = exact_cover(table)
     assert not certified
     assert {v for i in cover for v in expand_implicant(table.primes[i])} == minterms
 
@@ -373,10 +373,13 @@ def test_prune_redundant_matches_union_rebuild():
         assert _prune_redundant(chosen, cover_bits, costs, full, tie) == want
 
 
-def min_pivot_exact_cover(k, primes, minterms):
+def min_pivot_exact_cover(k, primes, minterms, floor=True):
     """Reference cover search: set-based reductions and a branch that takes
-    the pivot with `min` over the residue's positions at every node.  It
-    reads the node budget from the module, so patching it limits both."""
+    the pivot with `min` over the residue's positions at every node.  With
+    `floor`, a node whose residue's disjoint-rows floor, taken in the same
+    pivot order, overruns the incumbent's cost visits nothing; without it,
+    only a node with no cost left to spend does.  It reads the node budget
+    from the module, so patching it limits both."""
     primes = sorted(primes, key=lambda p: (implicant_cost(p, k),
                                            implicant_pattern(p, k)))
     costs = [implicant_cost(p, k) for p in primes]
@@ -460,6 +463,19 @@ def min_pivot_exact_cover(k, primes, minterms):
         for pos in bit_positions(remaining)}
     state = {"nodes": 0, "exhausted": False, "best": best, "best_key": best_key}
 
+    pivot_key = lambda pos: (len(holders_by_pos[pos]), pos)
+    pivot_order = sorted(holders_by_pos, key=pivot_key)
+
+    def residue_floor(left):
+        total = 0
+        for pos in pivot_order:
+            if left >> pos & 1:
+                held = holders_by_pos[pos]
+                total += costs[held[0]]
+                for i in held:
+                    left &= ~cover_bits[i]
+        return total
+
     def branch(picked, left, cost_so_far):
         state["nodes"] += 1
         if state["nodes"] > tokens.BRANCH_NODE_BUDGET:
@@ -472,11 +488,9 @@ def min_pivot_exact_cover(k, primes, minterms):
                 state["best_key"] = key
                 state["best"] = list(picked)
             return
-        if cost_so_far + 1 > state["best_key"][0]:
+        if cost_so_far + (residue_floor(left) if floor else 1) > state["best_key"][0]:
             return
-        pivot = min(bit_positions(left),
-                    key=lambda pos: (len(holders_by_pos[pos]), pos))
-        for i in holders_by_pos[pivot]:
+        for i in holders_by_pos[min(bit_positions(left), key=pivot_key)]:
             if state["exhausted"]:
                 return
             if cost_so_far + costs[i] > state["best_key"][0]:
@@ -537,7 +551,7 @@ def cover_instances():
     return out
 
 
-@pytest.mark.parametrize("budget", [1, 50, 500, 5000, tokens.BRANCH_NODE_BUDGET])
+@pytest.mark.parametrize("budget", [1, 50, 500, 5000, 20_000, tokens.BRANCH_NODE_BUDGET])
 def test_exact_cover_matches_min_pivot_search(budget, cover_instances, monkeypatch):
     """The rank-ordered search visits the reference's nodes in the same
     order: equal covers and certification at every node budget, including
@@ -546,13 +560,115 @@ def test_exact_cover_matches_min_pivot_search(budget, cover_instances, monkeypat
     uncertified = 0
     for k, primes, minterms in cover_instances:
         table = PrimeTable.build(k, primes, minterms)
-        cover, certified = exact_cover(table)
+        cover, certified, _ = exact_cover(table)
         got = [table.primes[i] for i in cover], certified
         assert got == min_pivot_exact_cover(k, primes, minterms)
         uncertified += not certified
     assert uncertified > 0
     if budget == tokens.BRANCH_NODE_BUDGET:
         assert not exact_cover(PrimeTable.build(*cover_instances[0]))[1]
+
+
+def test_floor_drops_no_cover_that_could_win(cover_instances, monkeypatch):
+    """Wherever the bound-free reference certifies within 20,000 nodes, the
+    bounded search certifies too, with the same cover, and its bound is
+    that cover's cost: the floor only cuts subtrees that cannot win."""
+    monkeypatch.setattr(tokens, "BRANCH_NODE_BUDGET", 20_000)
+    both = 0
+    for k, primes, minterms in cover_instances:
+        want, done = min_pivot_exact_cover(k, primes, minterms, floor=False)
+        if not done:
+            continue
+        table = PrimeTable.build(k, primes, minterms)
+        cover, certified, bound = exact_cover(table)
+        assert ([table.primes[i] for i in cover], certified) == (want, True)
+        assert bound == sum(table.costs[i] for i in cover)
+        both += 1
+    assert both > 250
+
+
+@st.composite
+def implicant_tables(draw, max_k=6, max_primes=24):
+    """(k, implicants, minterms): distinct cubes of one or two stars, and
+    all they cover as the minterms but for a few drawn out.  A table need
+    not be any function's primes, and with cubes this alike its core is
+    often cyclic."""
+    k = draw(st.integers(3, max_k))
+    masks = [m for m in range(1, 1 << k) if m.bit_count() <= 2]
+    cube = st.tuples(st.sampled_from(masks), st.integers(0, (1 << k) - 1))
+    primes = sorted({(m, v & ~m) for m, v in draw(st.lists(
+        cube, min_size=max_primes // 2, max_size=max_primes))})
+    reached = sorted(set().union(*map(expand_implicant, primes)))
+    out = set(draw(st.lists(st.sampled_from(reached), max_size=len(reached) // 4)))
+    return k, primes, set(reached) - out or {reached[0]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(implicant_tables())
+def test_bounded_search_matches_the_bound_free_reference(problem):
+    """With a budget that certifies every table drawn, the bounded search
+    and the bound-free reference return the same cover."""
+    k, primes, minterms = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tokens, "BRANCH_NODE_BUDGET", 10**6)
+        want = min_pivot_exact_cover(k, primes, minterms, floor=False)
+        table = PrimeTable.build(k, primes, minterms)
+        cover, certified, bound = exact_cover(table)
+    assert ([table.primes[i] for i in cover], certified) == want
+    assert certified and bound == sum(table.costs[i] for i in cover)
+
+
+@settings(max_examples=200, deadline=None)
+@given(implicant_tables(max_k=4, max_primes=10), st.integers(0, 2**16 - 1),
+       st.integers(0, 40))
+def test_disjoint_floor_never_exceeds_the_residue_minimum(problem, residue, limit):
+    """Ranks in the search's pivot order, each with its cheapest holder's
+    cost and its holders' reach: for any residue of ranks, the floor is at
+    most the cheapest choice of implicants covering it, found by trying
+    every subset, and stopping at a limit decides `floor <= limit` alike."""
+    k, primes, minterms = problem
+    table = PrimeTable.build(k, primes, minterms)
+    held = [[i for i, bits in enumerate(table.bits) if bits >> pos & 1]
+            for pos in range(len(minterms))]
+    order = sorted(range(len(minterms)), key=lambda pos: (len(held[pos]), pos))
+    ranked = [0] * len(primes)
+    for r, pos in enumerate(order):
+        for i in held[pos]:
+            ranked[i] |= 1 << r
+    cheap = [min(table.costs[i] for i in held[pos]) for pos in order]
+    reach = [_union(ranked[i] for i in held[pos]) for pos in order]
+    sub = residue & table.full
+    cheapest = min(sum(table.costs[i] for i in combo)
+                   for size in range(len(primes) + 1)
+                   for combo in itertools.combinations(range(len(primes)), size)
+                   if not sub & ~_union(ranked[i] for i in combo))
+    floor = _disjoint_floor(sub, cheap, reach)
+    assert floor <= cheapest
+    assert (_disjoint_floor(sub, cheap, reach, limit) <= limit) == (floor <= limit)
+
+
+@pytest.mark.parametrize("budget", [1, tokens.BRANCH_NODE_BUDGET])
+def test_token_set_bound_brackets_the_optimum(budget, monkeypatch):
+    """Criterion 7's 200 zones at k = 4: the bound never exceeds the
+    brute-force optimum, and it is the cover's cost when certified.  At one
+    node every search with a cyclic core runs out, so the bound is the
+    essential picks plus the core's floor and the cover is the descent's."""
+    monkeypatch.setattr(tokens, "BRANCH_NODE_BUDGET", budget)
+    rng = random.Random(42)
+    uncertified = 0
+    for trial in range(200):
+        n = rng.randrange(5, 17)
+        forward = tuple(random.Random(trial).sample(range(16), n))
+        enc = GridEncoding(n=n, k=4, forward=forward, algorithm="r")
+        zone = frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+        allow = trial % 2 == 0
+        ts = minimize(zone, enc, allow_dummy_cover=allow)
+        optimum = brute_force_min_cost(4, {enc.value(c) for c in zone},
+                                       set(enc.dummies()) if allow else set())
+        assert ts.bound <= optimum <= ts.cost
+        assert ts.bound == ts.cost or not ts.exact
+        uncertified += not ts.exact
+    assert (uncertified > 0) == (budget == 1)
 
 
 def test_exact_cover_breaks_equal_cover_ties_past_the_first_rank(monkeypatch):
@@ -576,7 +692,7 @@ def test_exact_cover_breaks_equal_cover_ties_past_the_first_rank(monkeypatch):
     seen = []
     for budget in itertools.count(1):
         monkeypatch.setattr(tokens, "BRANCH_NODE_BUDGET", budget)
-        cover, certified = exact_cover(table)
+        cover, certified, _ = exact_cover(table)
         got = tuple(table.patterns[i] for i in cover)
         if not seen or seen[-1] != got:
             seen.append(got)
@@ -641,7 +757,7 @@ def instance_encoding(k, primes, minterms):
     return GridEncoding(n=len(forward), k=k, forward=forward, algorithm="ID"), zone
 
 
-@pytest.mark.parametrize("budget", [50, 500])
+@pytest.mark.parametrize("budget", [50, 200])
 def test_minimize_polishes_budget_exhausted_covers(budget, cover_instances, monkeypatch):
     """Where the search runs out of nodes, `minimize` returns the descent's
     cover: it reaches every minterm and no other cell, costs no more than
@@ -664,7 +780,7 @@ def test_minimize_polishes_budget_exhausted_covers(budget, cover_instances, monk
         assert minimize(zone, enc) == ts
         if not searched:                # the full space: one all-star cube
             continue
-        table, cover, certified = searched[0]
+        table, cover, certified, _ = searched[0]
         assert ts.exact == certified
         cells = set(enc.codewords.tolist())
         assert pattern_codewords(ts.patterns) & cells == minterms
@@ -674,7 +790,7 @@ def test_minimize_polishes_budget_exhausted_covers(budget, cover_instances, monk
         want = rebuild_one_out_descent(table, cover)
         assert sorted(ts.patterns) == [table.patterns[i] for i in want]
         before = TokenSet(tuple(table.patterns[i] for i in cover),
-                          sum(table.costs[i] for i in cover), False)
+                          sum(table.costs[i] for i in cover), False, ts.bound)
         assert ts.cost <= before.cost
         assert len(ts.patterns) <= len(before.patterns)
         assert pairing_cost(ts) <= pairing_cost(before)
@@ -691,7 +807,7 @@ def test_one_out_move_beats_the_greedy_cover(monkeypatch):
     k, minterms = 3, {0, 1, 2, 5, 6, 7}
     monkeypatch.setattr(tokens, "BRANCH_NODE_BUDGET", 1)
     table = PrimeTable.build(k, prime_implicants(k, minterms, set()), minterms)
-    cover, certified = exact_cover(table)
+    cover, certified, _ = exact_cover(table)
     assert not certified
     assert [table.patterns[i] for i in cover] == ["*01", "*10", "0*0", "1*1"]
     ts = minimize(minterms, identity_encoding(8, k))
@@ -827,7 +943,7 @@ def test_greedy_path_cover_properties(problem):
     assert sorted(ts.patterns) == [table.patterns[i]
                                    for i in _one_out_descent(table, greedy)]
     before = TokenSet(tuple(table.patterns[i] for i in greedy),
-                      sum(table.costs[i] for i in greedy), False)
+                      sum(table.costs[i] for i in greedy), False, ts.bound)
     assert ts.cost == sum(len(p) - p.count("*") for p in ts.patterns) <= before.cost
     assert pairing_cost(ts) <= pairing_cost(before)
 

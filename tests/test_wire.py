@@ -1,5 +1,6 @@
 """Binary serialization round-trips and format framing."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvezones import wire
-from hvezones.hve import HveToken, MessageSpace, encrypt, gen_token, setup
+from hvezones.hve import HveToken, MessageSpace, encrypt, gen_token, query, setup
+from hvezones.tokens import expand_implicant, pattern_implicant
 
 
 def test_key_round_trips():
@@ -23,6 +25,26 @@ def test_ciphertext_and_token_round_trips():
     t = gen_token(sk, "0*01*0", rng)
     assert wire.load_ciphertext(wire.dump_ciphertext(c)) == c
     assert wire.load_token(wire.dump_token(t)) == t
+
+
+def test_public_key_alone_recovers_a_tokens_codewords():
+    """What a token leaks: a server holding the public key and a token blob
+    encrypts every attribute under a message of its own choosing and
+    queries the token.  The attributes whose query returns that message are
+    exactly the pattern's codewords, though the token it queries has its
+    pattern text starred out, so the leak is the scheme's, not the blob's."""
+    k, pattern = 6, "1*0**0"
+    pk, sk = setup(k, seed=23)
+    blob = wire.dump_token(gen_token(sk, pattern, random.Random(6)))
+    server_pk = wire.load_public_key(wire.dump_public_key(pk))
+    token = dataclasses.replace(wire.load_token(blob), pattern="*" * k)
+    chosen = MessageSpace(server_pk.group, [0], seed=7)
+    rng = random.Random(8)
+    recovered = {v for v in range(1 << k) if query(
+        server_pk.group, encrypt(server_pk, format(v, f"0{k}b"), chosen.element(0), rng),
+        token, chosen).matched}
+    assert recovered == set(expand_implicant(pattern_implicant(pattern)))
+    assert len(recovered) == 8
 
 
 def test_version_byte_leads():
