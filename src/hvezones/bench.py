@@ -93,8 +93,9 @@ def sample_zone(probs: Sequence[float], fraction: float, rng: random.Random,
 
     Weighted draws use exponential keys (log u / w), which reproduce
     sequential weighted sampling without replacement: one u per cell in id
-    order, and the cells of the largest keys, ties to the lowest id.  Only
-    the zone's keys are held, never one per cell.  The uniform flag is the
+    order, and the cells of the largest keys, ties to the lowest id.  A
+    zero weight or a zero u (whose key u^(1/w) is 0) gives the key -inf.
+    Only the zone's keys are held, never one per cell.  The uniform flag is the
     alternative sampling law.
     """
     n = len(probs)
@@ -109,7 +110,7 @@ def sample_zone(probs: Sequence[float], fraction: float, rng: random.Random,
     def keyed():
         for cell, w in enumerate(probs):
             u = rng.random()
-            key = math.log(u) / w if w > 0.0 else -math.inf
+            key = math.log(u) / w if w > 0.0 and u > 0.0 else -math.inf
             yield -key, cell
 
     return frozenset(cell for _, cell in heapq.nsmallest(count, keyed()))

@@ -60,10 +60,11 @@ cost or pairing_cost, only what zone users pay.
 
 Each `minimize` call derives the candidates' columns once, in one
 `PrimeTable`: every implicant in (cost, pattern) order with its cost,
-pattern text, text rank and minterm bitmask.  The cover search, the
-greedy step, the descent, the issue order and the `TokenSet` read it by
-index.  Ties are broken by the implicants, never by where they sit in the
-table:
+pattern text, text rank and minterm bitmask, and every minterm's holder
+bitmask, both filled in one pass over the implicants' codewords.  The
+cover search, the greedy step, the descent, the issue order and the
+`TokenSet` read it by index.  Ties are broken by the implicants, never by
+where they sit in the table:
 - the greedy step takes most new minterms, then the cheapest, then the
   smaller text (which within one cost is table order);
 - the issue order breaks equal ratios by text, and issues the patterns
@@ -75,7 +76,6 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Dict, IO, Iterable, List, Sequence, Set, Tuple
 
 from .gray import bit_positions
@@ -214,31 +214,37 @@ def _qm_primes(k: int, allowed: Set[int]) -> List[Implicant]:
 
 # --- cover selection over minterm bitmasks ---
 
-def _cover_bits(implicants: List[Implicant], minterms: Set[int]) -> List[int]:
+def _cover_bits(implicants: List[Implicant],
+                minterms: Set[int]) -> Tuple[List[int], List[int]]:
     """Per implicant, the bitmask of the minterms it covers (bit i for the
-    i-th smallest minterm)."""
+    i-th smallest minterm), and per minterm, the bitmask of the implicants
+    covering it (bit j for the j-th implicant)."""
     pos_of = {m: i for i, m in enumerate(sorted(minterms))}
     out = []
-    for imp in implicants:
+    holders = [0] * len(pos_of)
+    for j, imp in enumerate(implicants):
         bits = 0
         for v in expand_implicant(imp):
             i = pos_of.get(v)
             if i is not None:
                 bits |= 1 << i
+                holders[i] |= 1 << j
         out.append(bits)
-    return out
+    return out, holders
 
 
 @dataclass(frozen=True)
 class PrimeTable:
     """One cover problem's implicants in (cost, pattern) order, each column
-    derived once; every cover step names an implicant by its index here."""
+    derived once; every cover step names an implicant by its index here.
+    `bits` and `holders` are one incidence matrix read by column and by
+    row, both from the one pass of `_cover_bits`."""
 
-    primes: List[Implicant]
     costs: List[int]            # non-star bits
     patterns: List[str]
     rank: List[int]             # position in pattern-text order
-    bits: List[int]             # minterms covered, as `_cover_bits` gives them
+    bits: List[int]             # per prime, the minterms it covers
+    holders: List[int]          # per minterm, the primes covering it
     full: int                   # every minterm's bit
 
     @classmethod
@@ -252,14 +258,8 @@ class PrimeTable:
         rank = [0] * len(primes)
         for r, i in enumerate(sorted(range(len(primes)), key=patterns.__getitem__)):
             rank[i] = r
-        return cls(primes, [cost for cost, _, _ in keyed], patterns, rank,
-                   _cover_bits(primes, minterms), (1 << len(minterms)) - 1)
-
-    @cached_property
-    def holders(self) -> List[int]:
-        """Per minterm, the bitmask of the primes covering it, built on first
-        read: the cover search and the descent after it share one copy."""
-        return _holder_masks((1 << len(self.primes)) - 1, self.bits, self.full)
+        return cls([cost for cost, _, _ in keyed], patterns, rank,
+                   *_cover_bits(primes, minterms), (1 << len(minterms)) - 1)
 
 
 def _lazy_picks(candidates: Iterable[int], cover_bits: List[int], full: int,
@@ -329,17 +329,6 @@ def greedy_cover(table: PrimeTable, candidates: Iterable[int], full: int) -> Lis
     return _prune_redundant(chosen, table.bits, costs, full, rank)
 
 
-def _holder_masks(active: int, cover_bits: List[int], remaining: int) -> List[int]:
-    """Per minterm position, the bitmask of the active primes covering it
-    (bit i for prime i); zero outside `remaining`."""
-    holders = [0] * remaining.bit_length()
-    for i in bit_positions(active):
-        bit = 1 << i
-        for pos in bit_positions(cover_bits[i] & remaining):
-            holders[pos] |= bit
-    return holders
-
-
 def _minimal_rows(remaining: int, holders: List[int], active: int,
                   cover_bits: List[int]) -> int:
     """Minterm dominance: the minterms of `remaining` whose live holder set
@@ -384,8 +373,8 @@ def exact_cover(table: PrimeTable) -> Tuple[List[int], bool, int]:
 
     # reductions to a cyclic core; primes are indexed in (cost, pattern)
     # order, so a lower index is never costlier.  The holder masks only lose
-    # primes and minterms as the reductions go, so they are built once and
-    # read through the live primes.
+    # primes and minterms as the reductions go, so the table's are read
+    # through the live primes.
     holders = table.holders
     changed = True
     while changed and remaining:
@@ -558,22 +547,20 @@ def _one_out_descent(table: PrimeTable, cover: List[int]) -> List[int]:
     """A cover no costlier than `cover`, by one-out moves repeated until a
     pass keeps none; as indices in text order.
 
-    A pass tries each pattern of the cover once, costliest first, ties by
-    text rank.  A move takes the pattern out and re-covers the minterms only
-    it covered by a ratio greedy over the other primes holding them: least
-    cost per newly covered minterm, then cost, then text rank (as floats the
-    ratios order exactly, see `_issue_order`).  Then, costliest first, it
-    drops each pattern overlapping the new picks whose minterms the rest
-    now cover.  It is kept only when (non-star bits, patterns) falls and
-    2 * non-star + patterns does not rise, so the descent ends and never
-    raises `pairing_cost`.
+    A pass tries each pattern still in the cover once, costliest first, ties
+    by text rank, whether or not an earlier pass rejected its move.  A move
+    takes the pattern out and re-covers the minterms only it covered by a
+    ratio greedy over the other primes holding them: least cost per newly
+    covered minterm, then cost, then text rank (as floats the ratios order
+    exactly, see `_issue_order`).  Then, costliest first, it drops each
+    pattern overlapping the new picks whose minterms the rest now cover.
+    It is kept only when (non-star bits, patterns) falls and 2 * non-star +
+    patterns does not rise, so the descent ends and never raises
+    `pairing_cost`.
 
     Per minterm, the count of cover patterns holding it is kept across
     moves, and `single` marks the minterms held exactly once: those a
     pattern alone covers, and the ones that keep it from being redundant.
-    A rejected move reads only the counts of its pattern's, its picks' and
-    their neighbours' minterms, so it is not tried again until a kept move
-    changes one of those counts: until then it would be rejected again.
     """
     costs, bits, rank = table.costs, table.bits, table.rank
     holders = table.holders
@@ -599,12 +586,11 @@ def _one_out_descent(table: PrimeTable, cover: List[int]) -> List[int]:
         kept |= 1 << i
     by_cost = lambda i: (-costs[i], rank[i])
     key = lambda gain, i: (costs[i] / gain, costs[i], rank[i])
-    settled: Dict[int, int] = {}    # rejected move -> the minterms it read
     moved = True
     while moved:
         moved = False
         for out in sorted(bit_positions(kept), key=by_cost):
-            if not kept >> out & 1 or out in settled:
+            if not kept >> out & 1:
                 continue
             alone = bits[out] & single
             reach = 0
@@ -612,7 +598,6 @@ def _one_out_descent(table: PrimeTable, cover: List[int]) -> List[int]:
                 reach |= holders[pos]
             picks, left = _lazy_picks(bit_positions(reach & ~(1 << out)), bits, alone, key)
             if left:
-                settled[out] = bits[out]
                 continue
             count([out], -1)
             count(picks, 1)
@@ -636,18 +621,10 @@ def _one_out_descent(table: PrimeTable, cover: List[int]) -> List[int]:
             size_delta = len(picks) - len(dropped) - 1
             if (cost_delta, size_delta) < (0, 0) and 2 * cost_delta + size_delta <= 0:
                 kept, moved = trial, True
-                changed = bits[out] | grown
-                for i in dropped:
-                    changed |= bits[i]
-                settled = {i: read for i, read in settled.items() if not read & changed}
             else:
                 count(dropped, 1)
                 count(picks, -1)
                 count([out], 1)
-                read = bits[out] | grown
-                for i in near:
-                    read |= bits[i]
-                settled[out] = read
     return sorted(bit_positions(kept), key=rank.__getitem__)
 
 

@@ -67,7 +67,7 @@ def sample_zone_by_sort(probs, fraction, rng):
     keyed = []
     for cell, w in enumerate(probs):
         u = rng.random()
-        key = math.log(u) / w if w > 0.0 else -math.inf
+        key = math.log(u) / w if w > 0.0 and u > 0.0 else -math.inf
         keyed.append((-key, cell))
     keyed.sort()
     return frozenset(cell for _, cell in keyed[:math.ceil(fraction * len(probs))])

@@ -107,6 +107,26 @@ def test_sample_zone_matches_the_sort_based_rule(probs, seed, data):
     assert fast.getstate() == slow.getstate()
 
 
+class ScriptedRandom:
+    """Stub rng whose random() returns the given draws in turn."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
+def test_sample_zone_zero_draw_ranks_last():
+    """rng.random() may return 0.0: that cell's key u^(1/w) is 0, below
+    every other positive-weight cell's, so it joins the zone last."""
+    probs = [0.5, 0.5, 0.5]
+    draws = [0.0, 0.5, 0.9]
+    for fraction, zone in ((1 / 3, {2}), (2 / 3, {1, 2}), (1.0, {0, 1, 2})):
+        assert sample_zone(probs, fraction, ScriptedRandom(draws)) == frozenset(zone)
+        assert sample_zone_by_sort(probs, fraction, ScriptedRandom(draws)) == frozenset(zone)
+
+
 def test_sample_zone_uniform_flag():
     probs = [1.0, 0.0, 0.0, 0.0]
     seen = set()

@@ -440,6 +440,66 @@ def test_benchmark_verification_failure_is_fatal(monkeypatch, capsys):
             "error: verification failed: trial 0: pairing counter mismatch")
 
 
+def _all_star_cover(zone, enc, allow_dummy_cover=True):
+    """One all-star pattern: it covers every codeword, zone or not."""
+    return tokens.TokenSet(("*" * enc.k,), 0, True, 0)
+
+
+def _wrong_message(result):
+    if result.matched:
+        return dataclasses.replace(result, message=result.message + 1)
+    return result
+
+
+@pytest.mark.parametrize("extra,name,fake,reason", [
+    ((), "minimize", _all_star_cover,
+     "exact cover requested but extra codewords covered"),
+    (("--dummy-cover",), "minimize", _all_star_cover,
+     "token set covers a real cell outside the zone"),
+    ((), "query", _wrong_message, "query recovered the wrong message"),
+    ((), "query", lambda result: dataclasses.replace(result, message=None),
+     "token match disagrees with zone membership"),
+])
+def test_benchmark_spot_check_failures_are_fatal(monkeypatch, capsys, extra, name,
+                                                 fake, reason):
+    """Each of spot_check's cover and match checks aborts the benchmark
+    with one diagnostic line: a cover reaching codewords it may not, and a
+    query whose message or match is wrong."""
+    if name == "query":
+        real_query = bench.query
+        monkeypatch.setattr(bench, "query",
+                            lambda *args, **kwargs: fake(real_query(*args, **kwargs)))
+    else:
+        monkeypatch.setattr(bench, "minimize", fake)
+    code, out, err = run_cli(capsys, "benchmark", "--algorithm", "GO", "--n", "16",
+                             *extra, "--fractions", "0.5", "--trials", "2", "--seed", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: verification failed: trial 0: {reason}\n"
+
+
+def test_every_trial_failing_exits_1(monkeypatch, capsys):
+    """When no trial yields rows, each failure is a warning and the run
+    ends with one error line and status 1."""
+    def failing_baseline(grid):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(bench, "hge_baseline", failing_baseline)
+    code, out, err = run_cli(capsys, "benchmark", "--algorithm", "GO", "--n", "16",
+                             "--fractions", "0.5", "--trials", "2", "--seed", "3")
+    assert (code, out.count("\n")) == (1, 1)     # the CSV header alone
+    assert err == ("warning: trial 0: injected failure\n"
+                   "warning: trial 1: injected failure\n"
+                   "error: every trial failed\n")
+
+
+def test_config_file_bad_boolean_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad_bool.cfg"
+    path.write_text("n = 16\nverify = maybe\n")
+    code, out, err = run_cli(capsys, "benchmark", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:2: not a boolean: 'maybe'\n"
+
+
 # A valid value other than the default for every ExperimentConfig field
 CHANGED = {"n": 12, "algorithm": "MSGO", "depth": 2, "a": 0.4, "b": 3.0,
            "fractions": (0.25,), "noise": 0.3, "trials": 2, "seed": 9,

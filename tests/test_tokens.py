@@ -14,9 +14,8 @@ from hvezones.gray import bit_positions
 from hvezones.grid import Grid, GridEncoding
 from hvezones.optimizers import gray_optimizer, hge_baseline, msgo
 from hvezones.tokens import (PrimeTable, TokenSet, _cover_bits, _disjoint_floor,
-                             _grow_prime_cube, _holder_masks, _issue_order, _lazy_picks,
-                             _minimal_rows, _one_out_descent, _prune_redundant,
-                             _qm_primes, _truth_table_primes, exact_cover,
+                             _grow_prime_cube, _issue_order, _lazy_picks, _minimal_rows,
+                             _prune_redundant, _qm_primes, _truth_table_primes, exact_cover,
                              expand_implicant, greedy_cover, implicant_cost,
                              implicant_pattern, is_dense, match_pairings, minimize,
                              pairing_cost, pattern_implicant, prime_implicants,
@@ -40,7 +39,7 @@ def greedy_table(k, minterms, dontcares):
 def whole_greedy_cover(table):
     """The greedy step over every cube of the table, as the greedy path
     runs it before the descent."""
-    return greedy_cover(table, range(len(table.primes)), table.full)
+    return greedy_cover(table, range(len(table.costs)), table.full)
 
 
 def test_pattern_implicant_round_trip():
@@ -231,7 +230,7 @@ def test_exact_cover_deep_search_needs_no_recursion():
     table = PrimeTable.build(13, prime_implicants(13, minterms, set()), minterms)
     cover, certified, _ = exact_cover(table)
     assert not certified
-    assert {v for i in cover for v in expand_implicant(table.primes[i])} == minterms
+    assert {v for i in cover for v in expand_implicant(pattern_implicant(table.patterns[i]))} == minterms
 
 
 def test_greedy_cover_prime_cubes_cannot_grow():
@@ -240,7 +239,8 @@ def test_greedy_cover_prime_cubes_cannot_grow():
     dontcares = set(rng.sample(sorted(set(range(1 << 13)) - minterms), 2000))
     allowed = minterms | dontcares
     table = greedy_table(13, minterms, dontcares)
-    for mask, value in (table.primes[i] for i in whole_greedy_cover(table)):
+    for mask, value in (pattern_implicant(table.patterns[i])
+                        for i in whole_greedy_cover(table)):
         for bit in (1 << b for b in range(13) if not mask >> b & 1):
             grown = expand_implicant((mask | bit, value & ~bit))
             assert not all(v in allowed for v in grown)
@@ -330,7 +330,7 @@ def test_lazy_greedy_pick_matches_full_rescan():
                                       relabelled_costs, full)
         except ValueError:
             assert left
-            table = PrimeTable([], costs, [], tie, cover_bits, full)
+            table = PrimeTable(costs, [], tie, cover_bits, [], full)
             with pytest.raises(ValueError):
                 greedy_cover(table, candidates, full)
             continue
@@ -384,7 +384,7 @@ def min_pivot_exact_cover(k, primes, minterms, floor=True):
                                            implicant_pattern(p, k)))
     costs = [implicant_cost(p, k) for p in primes]
     patterns = [implicant_pattern(p, k) for p in primes]
-    cover_bits = _cover_bits(primes, minterms)
+    cover_bits, _ = _cover_bits(primes, minterms)
     full = (1 << len(minterms)) - 1
     if costs and costs[0] == 0:
         return [primes[0]], True
@@ -561,7 +561,7 @@ def test_exact_cover_matches_min_pivot_search(budget, cover_instances, monkeypat
     for k, primes, minterms in cover_instances:
         table = PrimeTable.build(k, primes, minterms)
         cover, certified, _ = exact_cover(table)
-        got = [table.primes[i] for i in cover], certified
+        got = [pattern_implicant(table.patterns[i]) for i in cover], certified
         assert got == min_pivot_exact_cover(k, primes, minterms)
         uncertified += not certified
     assert uncertified > 0
@@ -581,7 +581,7 @@ def test_floor_drops_no_cover_that_could_win(cover_instances, monkeypatch):
             continue
         table = PrimeTable.build(k, primes, minterms)
         cover, certified, bound = exact_cover(table)
-        assert ([table.primes[i] for i in cover], certified) == (want, True)
+        assert ([pattern_implicant(table.patterns[i]) for i in cover], certified) == (want, True)
         assert bound == sum(table.costs[i] for i in cover)
         both += 1
     assert both > 250
@@ -614,7 +614,7 @@ def test_bounded_search_matches_the_bound_free_reference(problem):
         want = min_pivot_exact_cover(k, primes, minterms, floor=False)
         table = PrimeTable.build(k, primes, minterms)
         cover, certified, bound = exact_cover(table)
-    assert ([table.primes[i] for i in cover], certified) == want
+    assert ([pattern_implicant(table.patterns[i]) for i in cover], certified) == want
     assert certified and bound == sum(table.costs[i] for i in cover)
 
 
@@ -699,7 +699,7 @@ def test_exact_cover_breaks_equal_cover_ties_past_the_first_rank(monkeypatch):
         if certified:
             break
     assert got == ties[0]
-    assert (([table.primes[i] for i in cover], certified)
+    assert (([pattern_implicant(table.patterns[i]) for i in cover], certified)
             == min_pivot_exact_cover(k, primes, minterms))
     tie_wins = [next(r for r, (a, b) in enumerate(zip(new, old)) if a != b)
                 for old, new in zip(seen, seen[1:]) if len(old) == len(new)]
@@ -829,7 +829,10 @@ def minimal_rows_after(columns, active=None):
     remaining = 0
     for bits in columns:
         remaining |= bits
-    holders = _holder_masks((1 << len(columns)) - 1, columns, remaining)
+    holders = [0] * remaining.bit_length()
+    for i, bits in enumerate(columns):
+        for pos in bit_positions(bits):
+            holders[pos] |= 1 << i
     if active is None:
         active = (1 << len(columns)) - 1
     return _minimal_rows(remaining, holders, active, columns)
@@ -921,8 +924,9 @@ def test_exact_path_cover_properties(problem):
 def test_greedy_path_cover_properties(problem):
     """With EXACT_SPACE_LIMIT at 0 every zone short of the full space takes
     the greedy path: its cover reaches every minterm and no off-zone cell,
-    is flagged inexact, is the one-out descent of the greedy step's cover,
-    and is never costlier than that cover in non-star bits or pairings."""
+    is flagged inexact, is what the reference descent makes of the greedy
+    step's cover, and is never costlier than that cover in non-star bits or
+    pairings."""
     k, roles = problem
     minterms = {v for v, r in enumerate(roles) if r == "m"}
     dontcares = {v for v, r in enumerate(roles) if r == "d"}
@@ -941,7 +945,7 @@ def test_greedy_path_cover_properties(problem):
     table = greedy_table(k, minterms, dontcares)
     greedy = whole_greedy_cover(table)
     assert sorted(ts.patterns) == [table.patterns[i]
-                                   for i in _one_out_descent(table, greedy)]
+                                   for i in rebuild_one_out_descent(table, greedy)]
     before = TokenSet(tuple(table.patterns[i] for i in greedy),
                       sum(table.costs[i] for i in greedy), False, ts.bound)
     assert ts.cost == sum(len(p) - p.count("*") for p in ts.patterns) <= before.cost
